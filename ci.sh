@@ -15,6 +15,13 @@ echo "==> cargo test --workspace --features qbf-core/debug-counters"
 # watched-literal propagator (panics on any propagation divergence).
 cargo test -q --workspace --features qbf-core/debug-counters
 
+echo "==> front-end bit-identity gate (preprocess + miniscope vs the reference)"
+# The incremental preprocessor and the union-find miniscoper must return
+# exactly what the replaced quadratic implementations (kept only inside
+# this test) return. The ignored cases are the large flat instances of the
+# prenex-large benchmark shape, too slow for the reference in debug builds.
+cargo test -q --release --test frontend_equivalence -- --include-ignored
+
 echo "==> repro bench-smoke (telemetry determinism gate)"
 # Runs a micro benchmark suite twice and asserts the machine-readable
 # BENCH_qbf.json aggregate is byte-identical across runs and parses with

@@ -11,6 +11,7 @@
 
 use std::time::{Duration, Instant};
 
+use qbf_core::preprocess::preprocess;
 use qbf_core::solver::{Solver, SolverConfig};
 use qbf_core::Qbf;
 use qbf_gen::{fixed, fpv, ncf, rand_qbf, FixedParams, FpvParams, NcfParams, RandParams};
@@ -152,7 +153,9 @@ fn bench_observe() {
     });
 }
 
-/// Preprocessing costs: the four prenexing strategies and miniscoping.
+/// Preprocessing costs: the four prenexing strategies, miniscoping, and
+/// the §VII-D front end (preprocessing and miniscoping) on a large flat
+/// instance.
 fn bench_transforms() {
     let params = NcfParams {
         dep: 6,
@@ -170,6 +173,24 @@ fn bench_transforms() {
     let flat = prenex(&q, Strategy::ExistsUpForallUp);
     bench("transforms", "miniscope", || {
         std::hint::black_box(miniscope(&flat)).is_ok() as u64
+    });
+    // FIXED-L: 120 groups, 7 200 clauses of 5 literals.
+    let large = fixed(
+        &FixedParams {
+            groups: 120,
+            depth: 5,
+            block_vars: 4,
+            clauses_per_group: 60,
+            lpc: 5,
+        },
+        0,
+    )
+    .prenex;
+    bench("transforms", "preprocess", || {
+        std::hint::black_box(preprocess(&large)).1.subsumed as u64
+    });
+    bench("transforms", "miniscope/fixed-l120", || {
+        std::hint::black_box(miniscope(&large)).is_ok() as u64
     });
 }
 

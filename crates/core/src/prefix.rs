@@ -325,31 +325,39 @@ impl Prefix {
     /// The prefix obtained by unbinding `v` (used by `ϕ_l` restriction,
     /// §II). Empty blocks dissolve and same-quantifier neighbours re-merge.
     pub fn without_var(&self, v: Var) -> Prefix {
+        let mut skip = vec![false; self.num_vars];
+        if let Some(s) = skip.get_mut(v.index()) {
+            *s = true;
+        }
+        self.without_vars(&skip)
+    }
+
+    /// The prefix obtained by unbinding every variable `v` with
+    /// `skip[v.index()]` set (indices past the mask are kept), in one
+    /// rebuild. Equal to unbinding them one at a time with
+    /// [`Prefix::without_var`], in any order: the builder's canonical form
+    /// depends only on which variables stay bound and on the ancestor
+    /// relation between their blocks.
+    pub fn without_vars(&self, skip: &[bool]) -> Prefix {
+        let skipped = |w: Var| skip.get(w.index()).copied().unwrap_or(false);
         let mut b = PrefixBuilder::new(self.num_vars);
-        // Rebuild the forest minus `v`; the builder's canonicalization takes
-        // care of dissolving emptied blocks.
-        fn copy(
-            p: &Prefix,
-            b: &mut PrefixBuilder,
-            src: BlockId,
-            parent: Option<BlockId>,
-            skip: Var,
-        ) {
-            let data = &p.blocks[src.index()];
-            let vars: Vec<Var> = data.vars.iter().copied().filter(|&w| w != skip).collect();
+        // Preorder copy of the forest minus the skipped variables; the
+        // builder's canonicalization dissolves emptied blocks and re-merges
+        // same-quantifier neighbours.
+        let mut stack: Vec<(BlockId, Option<BlockId>)> =
+            self.roots.iter().rev().map(|&r| (r, None)).collect();
+        while let Some((src, parent)) = stack.pop() {
+            let data = &self.blocks[src.index()];
+            let vars = data.vars.iter().copied().filter(|&w| !skipped(w));
             let id = match parent {
                 None => b.add_root(data.quant, vars),
                 Some(pp) => b.add_child(pp, data.quant, vars),
             }
             .expect("rebuilding an existing prefix cannot fail");
-            for &c in &data.children {
-                copy(p, b, c, Some(id), skip);
-            }
+            stack.extend(data.children.iter().rev().map(|&c| (c, Some(id))));
         }
-        for &r in &self.roots {
-            copy(self, &mut b, r, None, v);
-        }
-        b.finish().expect("rebuilding an existing prefix cannot fail")
+        b.finish()
+            .expect("rebuilding an existing prefix cannot fail")
     }
 
     /// The variables that are *top* in this prefix (prefix level 1, §II).
@@ -761,6 +769,26 @@ mod tests {
         let r = p.without_var(v(2));
         assert_eq!(r.num_blocks(), 2);
         assert!(r.precedes(v(0), v(1)));
+    }
+
+    #[test]
+    fn batch_unbinding_equals_repeated_without_var() {
+        for seed in 0..400u64 {
+            let n = 4 + (seed % 9) as usize;
+            let q = crate::samples::random_qbf(seed ^ 0x0b5e_55ed, n, 1);
+            let p = q.prefix();
+            // Rebuilding a canonical prefix is the identity.
+            assert_eq!(&p.without_vars(&vec![false; n]), p, "seed {seed}");
+            let skip: Vec<bool> = (0..n)
+                .map(|i| (seed >> (i % 16)) & 3 == 0 || (seed + i as u64).is_multiple_of(5))
+                .collect();
+            let batch = p.without_vars(&skip);
+            let vars = (0..n).filter(|&i| skip[i]).map(v);
+            let forward = vars.clone().fold(p.clone(), |acc, w| acc.without_var(w));
+            let backward = vars.rev().fold(p.clone(), |acc, w| acc.without_var(w));
+            assert_eq!(batch, forward, "seed {seed}: {p} minus {skip:?}");
+            assert_eq!(batch, backward, "seed {seed}: {p} minus {skip:?}");
+        }
     }
 
     #[test]

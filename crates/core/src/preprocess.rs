@@ -16,11 +16,46 @@
 //! The result is a simplified [`Qbf`] with the same value, plus a
 //! [`Report`] of what fired. Useful in front of either solver and as an
 //! ingredient of the §VII-D pipeline.
+//!
+//! # One incremental pass
+//!
+//! The output is defined by a naive loop: reduce every clause; stop if the
+//! formula is decided; else apply one unit, else one pure literal, else one
+//! subsumption round; repeat until nothing fires. [`preprocess`] computes
+//! exactly that result (same formula, same clause order, same [`Report`])
+//! in one pass over per-literal occurrence lists and counts: every clause
+//! is reduced once, an assignment re-reduces only the clauses it shrank,
+//! and the prefix is rebuilt once at the end ([`Prefix::without_vars`]).
+//! These rules make the two agree:
+//!
+//! * **Units before pures.** After reduction a Lemma 5 unit is exactly a
+//!   one-literal existential clause; the first one in current matrix order
+//!   is applied.
+//! * **Pures.** The pure literal is taken from the lowest-index bound
+//!   variable with only one polarity left; an existential is set to
+//!   satisfy it, a universal to falsify it.
+//! * **Contradiction.** After every single assignment the clauses it shrank
+//!   are re-reduced (counted in [`Report::reduced_literals`]) and only then
+//!   checked for a clause without existential literals, so the report also
+//!   matches when the formula is decided false.
+//! * **Subsumption.** A round runs only when no unit and no pure literal is
+//!   left. It drops every clause that has a subset earlier in the stable
+//!   length order of the matrix, and reorders the matrix by that order
+//!   *only when it dropped something*.
+//! * **Prefix.** Reduction keeps using the input prefix. Unbinding
+//!   variables never changes `≺` between a universal and an existential
+//!   that are both still bound and share a clause: such pairs are exactly
+//!   strict-ancestor block pairs, and blocks only dissolve or fuse along
+//!   ancestor chains.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::clause::Clause;
 use crate::matrix::Matrix;
+use crate::prefix::Prefix;
 use crate::qbf::Qbf;
-use crate::var::{Lit, Var};
+use crate::var::{Lit, Quantifier, Var};
 
 /// What the preprocessor did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,153 +87,279 @@ pub struct Report {
 /// assert!(simplified.matrix().has_empty_clause());
 /// ```
 pub fn preprocess(qbf: &Qbf) -> (Qbf, Report) {
-    let mut report = Report::default();
-    let mut current = qbf.clone();
+    let mut s = Simplifier::new(qbf);
+    s.reduce_all();
     loop {
-        // 1. Universal reduction on every clause.
-        let reduced = universal_reduce_matrix(&current, &mut report);
-        current = Qbf::new(current.prefix().clone(), reduced)
-            .expect("reduction only removes literals");
-
-        // 2. Contradictory clause ⇒ false.
-        if current
-            .matrix()
-            .iter()
-            .any(|c| c.iter().all(|l| current.prefix().is_universal(l.var())))
-        {
-            report.decided = Some(false);
+        if s.contradiction {
+            s.report.decided = Some(false);
             let falsum = Qbf::new(
-                crate::prefix::Prefix::empty(qbf.num_vars()),
+                Prefix::empty(qbf.num_vars()),
                 Matrix::from_clauses(qbf.num_vars(), [Clause::empty()]),
             )
             .expect("canonical false");
-            return (falsum, report);
+            return (falsum, s.report);
         }
-        // Empty matrix ⇒ true.
-        if current.matrix().is_empty() {
-            report.decided = Some(true);
-            let verum = Qbf::new(
-                crate::prefix::Prefix::empty(qbf.num_vars()),
-                Matrix::new(qbf.num_vars()),
-            )
-            .expect("canonical true");
-            return (verum, report);
+        if s.num_live == 0 {
+            s.report.decided = Some(true);
+            let verum = Qbf::new(Prefix::empty(qbf.num_vars()), Matrix::new(qbf.num_vars()))
+                .expect("canonical true");
+            return (verum, s.report);
         }
-
-        // 3. One unit, if any (restriction invalidates indices, so apply
-        //    singly and loop).
-        if let Some(u) = find_unit(&current) {
-            report.units += 1;
-            current = current.assign(u);
-            continue;
+        if let Some(unit) = s.next_unit() {
+            s.report.units += 1;
+            s.assign(unit);
+        } else if let Some(pure) = s.next_pure() {
+            s.report.pures += 1;
+            s.assign(pure);
+        } else if s.subsume() == 0 {
+            let prefix = qbf.prefix().without_vars(&s.assigned);
+            let out = Qbf::new(prefix, s.matrix()).expect("simplification keeps clause scopes");
+            return (out, s.report);
         }
-
-        // 4. One monotone literal, if any.
-        if let Some(m) = find_pure(&current) {
-            report.pures += 1;
-            current = current.assign(m);
-            continue;
-        }
-
-        // 5. Subsumption (once per outer round; restarts the loop when it
-        //    fires since shorter matrices can enable new monotone fixes).
-        let before = current.matrix().len();
-        let sub = subsume(current.matrix());
-        if sub.len() != before {
-            report.subsumed += before - sub.len();
-            current = Qbf::new(current.prefix().clone(), sub)
-                .expect("subsumption only removes clauses");
-            continue;
-        }
-        return (current, report);
     }
 }
 
-/// Lemma 3 applied to every clause of the matrix.
-fn universal_reduce_matrix(qbf: &Qbf, report: &mut Report) -> Matrix {
-    let prefix = qbf.prefix();
-    let mut out = Matrix::new(qbf.num_vars());
-    for c in qbf.matrix().iter() {
-        let existentials: Vec<Var> = c
-            .iter()
-            .map(|l| l.var())
-            .filter(|&v| prefix.is_existential(v))
-            .collect();
-        let kept: Vec<Lit> = c
-            .iter()
-            .copied()
-            .filter(|&l| {
-                prefix.is_existential(l.var())
-                    || existentials.iter().any(|&e| prefix.precedes(l.var(), e))
-            })
-            .collect();
-        report.reduced_literals += c.len() - kept.len();
-        out.push(Clause::new(kept).expect("subset of a valid clause"));
-    }
-    out
+/// Live occurrence counts per literal code, and the variables that may have
+/// lost a polarity: a lazy min-heap, re-checked when popped. A variable
+/// that is pure stays pure until it is assigned or vanishes, because counts
+/// only ever fall.
+struct Counts {
+    live: Vec<usize>,
+    maybe_pure: BinaryHeap<Reverse<usize>>,
 }
 
-/// Lemma 5 unit: the clause logic mirrors `recursive::find_unit`.
-fn find_unit(qbf: &Qbf) -> Option<Lit> {
-    let prefix = qbf.prefix();
-    for c in qbf.matrix().iter() {
-        let mut existentials = c.iter().filter(|l| prefix.is_existential(l.var()));
-        let (Some(&e), None) = (existentials.next(), existentials.next()) else {
-            continue;
-        };
-        if c.iter()
-            .filter(|l| l.var() != e.var())
-            .all(|l| !prefix.precedes(l.var(), e.var()))
-        {
-            return Some(e);
+impl Counts {
+    /// Records that one live occurrence of `l` is gone.
+    fn remove(&mut self, l: Lit) {
+        self.live[l.code()] -= 1;
+        if self.live[l.code()] == 0 {
+            self.maybe_pure.push(Reverse(l.var().index()));
         }
     }
-    None
 }
 
-/// §III monotone literal.
-fn find_pure(qbf: &Qbf) -> Option<Lit> {
-    let n = qbf.num_vars();
-    let mut pos = vec![false; n];
-    let mut neg = vec![false; n];
-    for c in qbf.matrix().iter() {
-        for l in c {
-            if l.is_positive() {
-                pos[l.var().index()] = true;
-            } else {
-                neg[l.var().index()] = true;
+/// The working state of [`preprocess`]: the matrix as shrinking literal
+/// lists with occurrence lists, and the ordered work sets.
+struct Simplifier<'a> {
+    /// The input prefix: `≺` between still-bound variables never changes
+    /// (see the module docs), so reduction keeps using it.
+    prefix: &'a Prefix,
+    report: Report,
+    /// Each clause's literals, sorted like [`Clause`]'s.
+    lits: Vec<Vec<Lit>>,
+    live: Vec<bool>,
+    num_live: usize,
+    /// Clause ids in matrix order; dead ones stay until the next reorder.
+    order: Vec<usize>,
+    /// Each clause's index in `order`.
+    rank: Vec<usize>,
+    /// Per literal code: the clauses that contained it initially. Entries
+    /// go stale when a clause dies or loses the literal; users re-check.
+    occ: Vec<Vec<usize>>,
+    counts: Counts,
+    assigned: Vec<bool>,
+    /// Ranks of clauses that became units: a lazy min-heap.
+    units: BinaryHeap<Reverse<usize>>,
+    contradiction: bool,
+}
+
+impl<'a> Simplifier<'a> {
+    fn new(qbf: &'a Qbf) -> Self {
+        let n = qbf.num_vars();
+        let lits: Vec<Vec<Lit>> = qbf.matrix().iter().map(|c| c.lits().to_vec()).collect();
+        let mut occ = vec![Vec::new(); 2 * n];
+        let mut live = vec![0; 2 * n];
+        for (c, clause) in lits.iter().enumerate() {
+            for l in clause {
+                occ[l.code()].push(c);
+                live[l.code()] += 1;
             }
         }
+        let m = lits.len();
+        Simplifier {
+            prefix: qbf.prefix(),
+            report: Report::default(),
+            lits,
+            live: vec![true; m],
+            num_live: m,
+            order: (0..m).collect(),
+            rank: (0..m).collect(),
+            occ,
+            counts: Counts {
+                live,
+                maybe_pure: (0..n).map(Reverse).collect(),
+            },
+            assigned: vec![false; n],
+            units: BinaryHeap::new(),
+            contradiction: false,
+        }
     }
-    for i in 0..n {
-        let v = Var::new(i);
-        match (qbf.prefix().quant(v), pos[i], neg[i]) {
-            (None, _, _) | (_, false, false) => {}
-            (Some(crate::var::Quantifier::Forall), true, false) => return Some(v.negative()),
-            (Some(crate::var::Quantifier::Forall), false, true) => return Some(v.positive()),
-            (Some(crate::var::Quantifier::Exists), true, false) => return Some(v.positive()),
-            (Some(crate::var::Quantifier::Exists), false, true) => return Some(v.negative()),
+
+    /// Lemma 3 on every clause.
+    fn reduce_all(&mut self) {
+        for c in 0..self.lits.len() {
+            self.reduce(c);
+        }
+    }
+
+    /// Lemma 3 on clause `c`, then records a unit or a contradiction.
+    fn reduce(&mut self, c: usize) {
+        let prefix = self.prefix;
+        // A clause lies on one root path of the forest (a `Qbf` invariant),
+        // where `u ≺ e` is `d(u) < d(e)`: the deepest existential decides.
+        let deepest = self.lits[c]
+            .iter()
+            .filter(|l| prefix.is_existential(l.var()))
+            .filter_map(|l| prefix.discovery(l.var()))
+            .max();
+        let counts = &mut self.counts;
+        let clause = &mut self.lits[c];
+        let before = clause.len();
+        clause.retain(|&l| {
+            let v = l.var();
+            let keep = !prefix.is_universal(v)
+                || matches!((prefix.discovery(v), deepest), (Some(du), Some(de)) if du < de);
+            if !keep {
+                counts.remove(l);
+            }
+            keep
+        });
+        self.report.reduced_literals += before - clause.len();
+        // After reduction, a clause without existentials is empty and a
+        // one-literal clause is an existential unit.
+        match clause.len() {
+            0 => self.contradiction = true,
+            1 => self.units.push(Reverse(self.rank[c])),
             _ => {}
         }
     }
-    None
-}
 
-/// Removes clauses subsumed by (⊇ of) another clause.
-fn subsume(matrix: &Matrix) -> Matrix {
-    let mut clauses: Vec<&Clause> = matrix.clauses().iter().collect();
-    // Sort by length: a subsuming clause is never longer.
-    clauses.sort_by_key(|c| c.len());
-    let mut kept: Vec<Clause> = Vec::new();
-    'outer: for c in clauses {
-        for k in &kept {
-            if k.iter().all(|l| c.contains(*l)) {
-                continue 'outer;
+    /// The first unit in matrix order, if any.
+    fn next_unit(&mut self) -> Option<Lit> {
+        while let Some(Reverse(r)) = self.units.pop() {
+            let c = self.order[r];
+            if self.live[c] && self.lits[c].len() == 1 {
+                return Some(self.lits[c][0]);
             }
         }
-        kept.push(c.clone());
+        None
     }
-    Matrix::from_clauses(matrix.num_vars(), kept)
+
+    /// The monotone literal of the lowest-index bound variable with only
+    /// one polarity left, if any.
+    fn next_pure(&mut self) -> Option<Lit> {
+        while let Some(Reverse(i)) = self.counts.maybe_pure.pop() {
+            let v = Var::new(i);
+            let pos = self.counts.live[v.positive().code()] > 0;
+            let neg = self.counts.live[v.negative().code()] > 0;
+            if pos == neg {
+                continue;
+            }
+            match self.prefix.quant(v) {
+                Some(Quantifier::Exists) => return Some(v.lit(pos)),
+                Some(Quantifier::Forall) => return Some(v.lit(neg)),
+                None => {}
+            }
+        }
+        None
+    }
+
+    /// The restriction `ϕ_l` (§II) on the working matrix: clauses with `l`
+    /// die, clauses with `¬l` lose it and are re-reduced.
+    fn assign(&mut self, l: Lit) {
+        self.assigned[l.var().index()] = true;
+        for c in std::mem::take(&mut self.occ[l.code()]) {
+            if self.live[c] && self.lits[c].binary_search(&l).is_ok() {
+                self.kill(c);
+            }
+        }
+        for c in std::mem::take(&mut self.occ[(!l).code()]) {
+            if !self.live[c] {
+                continue;
+            }
+            if let Ok(at) = self.lits[c].binary_search(&!l) {
+                self.lits[c].remove(at);
+                self.counts.remove(!l);
+                self.reduce(c);
+            }
+        }
+    }
+
+    fn kill(&mut self, c: usize) {
+        self.live[c] = false;
+        self.num_live -= 1;
+        for l in std::mem::take(&mut self.lits[c]) {
+            self.counts.remove(l);
+        }
+    }
+
+    /// One subsumption round: drops every clause that has a subset earlier
+    /// in the stable length order and, if it dropped any, reorders the
+    /// matrix by that order. Returns the number dropped.
+    fn subsume(&mut self) -> usize {
+        let mut dropped = 0;
+        for r in 0..self.order.len() {
+            let d = self.order[r];
+            // A dropped clause's own subset drops everything it would.
+            if !self.live[d] {
+                continue;
+            }
+            let counts = &self.counts.live;
+            let rarest = *self.lits[d]
+                .iter()
+                .min_by_key(|l| counts[l.code()])
+                .expect("no empty clause survives to subsumption");
+            // Scan the rarest literal's occurrences, dropping stale entries.
+            let mut list = std::mem::take(&mut self.occ[rarest.code()]);
+            list.retain(|&c| self.live[c] && self.lits[c].binary_search(&rarest).is_ok());
+            for &c in &list {
+                if c == d || !self.live[c] {
+                    continue;
+                }
+                let (dl, cl) = (self.lits[d].len(), self.lits[c].len());
+                let later = cl > dl || (cl == dl && self.rank[c] > self.rank[d]);
+                if later && is_subset(&self.lits[d], &self.lits[c]) {
+                    self.kill(c);
+                    dropped += 1;
+                }
+            }
+            self.occ[rarest.code()] = list;
+        }
+        if dropped > 0 {
+            self.report.subsumed += dropped;
+            let (live, lits) = (&self.live, &self.lits);
+            self.order.retain(|&c| live[c]);
+            self.order.sort_by_key(|&c| lits[c].len());
+            for (r, &c) in self.order.iter().enumerate() {
+                self.rank[c] = r;
+            }
+            // `next_unit` found the unit heap empty before this round, so
+            // no stale rank survives the reorder.
+        }
+        dropped
+    }
+
+    /// The live clauses in matrix order.
+    fn matrix(&self) -> Matrix {
+        let clauses = self.order.iter().filter(|&&c| self.live[c]).map(|&c| {
+            Clause::new(self.lits[c].iter().copied()).expect("a subset of an input clause")
+        });
+        Matrix::from_clauses(self.prefix.num_vars(), clauses)
+    }
+}
+
+/// Whether `small ⊆ big`, both sorted like [`Clause`]'s literals.
+fn is_subset(small: &[Lit], big: &[Lit]) -> bool {
+    let mut rest = big;
+    small
+        .iter()
+        .all(|l| match rest.iter().position(|b| b >= l) {
+            Some(i) if rest[i] == *l => {
+                rest = &rest[i + 1..];
+                true
+            }
+            _ => false,
+        })
 }
 
 #[cfg(test)]
@@ -238,10 +399,10 @@ mod tests {
         // second clause keeps x relevant both ways.
         let m = Matrix::from_clauses(3, [clause(&[-1, 3]), clause(&[1, 2])]);
         let q = Qbf::new(p, m).unwrap();
-        let mut r = Report::default();
-        let reduced = universal_reduce_matrix(&q, &mut r);
-        assert_eq!(r.reduced_literals, 2); // y2 from c1, y1 from c2
-        assert_eq!(reduced.clauses()[0], clause(&[-1]));
+        let mut s = Simplifier::new(&q);
+        s.reduce_all();
+        assert_eq!(s.report.reduced_literals, 2); // y2 from c1, y1 from c2
+        assert_eq!(s.matrix().clauses()[0], clause(&[-1]));
     }
 
     #[test]
@@ -251,22 +412,43 @@ mod tests {
             .unwrap();
         let m = Matrix::from_clauses(2, [clause(&[1, 2]), clause(&[-1, -2])]);
         let q = Qbf::new(p, m).unwrap();
-        let mut r = Report::default();
-        let reduced = universal_reduce_matrix(&q, &mut r);
-        assert_eq!(r.reduced_literals, 0);
-        assert_eq!(reduced.len(), 2);
+        let mut s = Simplifier::new(&q);
+        s.reduce_all();
+        assert_eq!(s.report.reduced_literals, 0);
+        assert_eq!(s.matrix().len(), 2);
     }
 
     #[test]
     fn subsumption_drops_supersets() {
+        let p = Prefix::prenex(3, [(Exists, vec![Var::new(0), Var::new(1), Var::new(2)])]).unwrap();
         let m = Matrix::from_clauses(
             3,
-            [clause(&[1]), clause(&[1, 2]), clause(&[1, 2, 3]), clause(&[2, 3])],
+            [
+                clause(&[2, 3]),
+                clause(&[1, 2, 3]),
+                clause(&[1]),
+                clause(&[1, 2]),
+                clause(&[2, 3]),
+            ],
         );
-        let out = subsume(&m);
-        assert_eq!(out.len(), 2);
-        assert!(out.clauses().contains(&clause(&[1])));
-        assert!(out.clauses().contains(&clause(&[2, 3])));
+        let q = Qbf::new(p, m).unwrap();
+        let mut s = Simplifier::new(&q);
+        assert_eq!(s.subsume(), 3);
+        // The survivors are reordered by length, ties in matrix order.
+        assert_eq!(s.matrix().clauses(), &[clause(&[1]), clause(&[2, 3])]);
+        // A round that drops nothing keeps the order.
+        assert_eq!(s.subsume(), 0);
+        assert_eq!(s.report.subsumed, 3);
+    }
+
+    #[test]
+    fn subsumption_without_drops_keeps_matrix_order() {
+        let p = Prefix::prenex(3, [(Exists, vec![Var::new(0), Var::new(1), Var::new(2)])]).unwrap();
+        let m = Matrix::from_clauses(3, [clause(&[1, 2, 3]), clause(&[-1]), clause(&[-2, 3])]);
+        let q = Qbf::new(p, m.clone()).unwrap();
+        let mut s = Simplifier::new(&q);
+        assert_eq!(s.subsume(), 0);
+        assert_eq!(s.matrix(), m);
     }
 
     #[test]

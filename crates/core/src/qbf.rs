@@ -185,15 +185,12 @@ impl Qbf {
     /// Removes bound variables that do not occur in the matrix
     /// (`Qz ϕ ≡ ϕ` when `z` does not occur in `ϕ`). Value-preserving.
     pub fn prune_vacuous(&self) -> Qbf {
-        let occurs = self.matrix.occurring_vars();
-        let mut prefix = self.prefix.clone();
-        let vacuous: Vec<Var> = prefix
-            .bound_vars()
-            .filter(|v| !occurs[v.index()])
-            .collect();
-        for v in vacuous {
-            prefix = prefix.without_var(v);
-        }
+        let vacuous: Vec<bool> = self.matrix.occurring_vars().iter().map(|&o| !o).collect();
+        let prefix = if self.prefix.bound_vars().any(|v| vacuous[v.index()]) {
+            self.prefix.without_vars(&vacuous)
+        } else {
+            self.prefix.clone()
+        };
         Qbf {
             prefix,
             matrix: self.matrix.clone(),

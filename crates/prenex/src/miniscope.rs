@@ -12,6 +12,18 @@
 //! variable's literals are removed if it is universal. The ∀-splitting rule
 //! (20) of QUBOS/QUANTOR/SKIZZO is deliberately **not** applied (the paper
 //! reports it degrades the solver).
+//!
+//! # Building the scope forest
+//!
+//! Read as a list rewrite, each variable (innermost first) takes the groups
+//! that mention it out of the group list, keeping their order, and appends
+//! one new group binding it over them. The list is therefore always in
+//! creation order. The groups are the sets of a union-find over clauses,
+//! each root carrying its group's creation stamp and scope tree, so a
+//! variable costs one `find` per occurrence; sorting the bundled roots by
+//! stamp reproduces the list order exactly. (The output prefix would not
+//! show another order, since [`PrefixBuilder`] canonicalizes siblings; the
+//! stamps keep the scope tree itself identical.)
 
 use qbf_core::{Clause, Matrix, PrefixBuilder, Qbf, Quantifier, Var};
 
@@ -36,16 +48,6 @@ enum Scope {
 }
 
 impl Scope {
-    fn mentions(&self, clauses: &[Option<Clause>], v: Var) -> bool {
-        match self {
-            Scope::Clause(idx) => clauses[*idx]
-                .as_ref()
-                .map(|c| c.contains_var(v))
-                .unwrap_or(false),
-            Scope::Quant(_, _, children) => children.iter().any(|c| c.mentions(clauses, v)),
-        }
-    }
-
     /// Indices of live clauses in this scope.
     fn live_clauses(&self, clauses: &[Option<Clause>], out: &mut Vec<usize>) {
         match self {
@@ -90,28 +92,7 @@ pub fn miniscope(qbf: &Qbf) -> Result<Miniscoped, String> {
     }
     let num_vars = qbf.num_vars();
     let mut clauses: Vec<Option<Clause>> = qbf.matrix().iter().cloned().map(Some).collect();
-
-    // Build the scope forest, innermost variables first: each variable
-    // bundles the current groups that mention it (the `Qz(ϕ∧ψ)` rule);
-    // same-block variables commute (the same-quantifier swap rule).
-    let mut groups: Vec<Scope> = (0..clauses.len()).map(Scope::Clause).collect();
-    let blocks = if qbf.prefix().num_bound() == 0 {
-        Vec::new()
-    } else {
-        qbf.prefix().linear_blocks()
-    };
-    for (quant, vars) in blocks.iter().rev() {
-        for &v in vars {
-            let (mine, rest): (Vec<Scope>, Vec<Scope>) =
-                groups.into_iter().partition(|g| g.mentions(&clauses, v));
-            groups = rest;
-            if mine.is_empty() {
-                // Vacuous quantifier: drop it.
-                continue;
-            }
-            groups.push(Scope::Quant(*quant, v, mine));
-        }
-    }
+    let mut groups = scope_forest(qbf);
 
     // Single-clause-scope elimination, to fixpoint.
     let mut stats = ElimStats::default();
@@ -151,6 +132,74 @@ pub fn miniscope(qbf: &Qbf) -> Result<Miniscoped, String> {
         eliminated_vars: stats.vars,
         removed_clauses: stats.clauses,
     })
+}
+
+/// The scope forest of a prenex QBF, innermost variables first: each
+/// variable bundles the current groups that mention it (the `Qz(ϕ∧ψ)`
+/// rule); same-block variables commute (the same-quantifier swap rule).
+/// Returns the top-level groups in creation order (see the module docs).
+fn scope_forest(qbf: &Qbf) -> Vec<Scope> {
+    let m = qbf.matrix().len();
+    // The clauses mentioning each variable.
+    let mut occ: Vec<Vec<usize>> = vec![Vec::new(); qbf.num_vars()];
+    for (i, c) in qbf.matrix().iter().enumerate() {
+        for l in c {
+            occ[l.var().index()].push(i);
+        }
+    }
+    // Union-find over clauses; each root holds its group's size, creation
+    // stamp and scope tree. A lone clause is created at its index.
+    let mut parent: Vec<usize> = (0..m).collect();
+    let mut size = vec![1; m];
+    let mut stamp: Vec<usize> = (0..m).collect();
+    let mut scope: Vec<Option<Scope>> = (0..m).map(|i| Some(Scope::Clause(i))).collect();
+    let mut next_stamp = m;
+    let blocks = if qbf.prefix().num_bound() == 0 {
+        Vec::new()
+    } else {
+        qbf.prefix().linear_blocks()
+    };
+    let mut mine = Vec::new();
+    for (quant, vars) in blocks.iter().rev() {
+        for &v in vars {
+            mine.clear();
+            mine.extend(occ[v.index()].iter().map(|&c| find(&mut parent, c)));
+            mine.sort_unstable_by_key(|&r| stamp[r]);
+            mine.dedup();
+            // A vacuous quantifier (no group mentions `v`) is dropped.
+            let Some(&root) = mine.iter().max_by_key(|&&r| size[r]) else {
+                continue;
+            };
+            let children = mine
+                .iter()
+                .map(|&r| scope[r].take().expect("a root holds its group"))
+                .collect();
+            for &r in &mine {
+                if r != root {
+                    parent[r] = root;
+                    size[root] += size[r];
+                }
+            }
+            stamp[root] = next_stamp;
+            next_stamp += 1;
+            scope[root] = Some(Scope::Quant(*quant, v, children));
+        }
+    }
+    let mut roots: Vec<usize> = (0..m).filter(|&i| parent[i] == i).collect();
+    roots.sort_unstable_by_key(|&r| stamp[r]);
+    roots
+        .into_iter()
+        .map(|r| scope[r].take().expect("a root holds its group"))
+        .collect()
+}
+
+/// The union-find root of `x`, halving the path on the way.
+fn find(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
 }
 
 #[derive(Debug, Default)]
