@@ -51,6 +51,34 @@ for cfg in --to --po; do
     ./target/release/qbfcheck data/paper_example.qtree target/proof-gate/a.qrp
 done
 
+echo "==> qbfsolve instrumentation gate (--metrics on every observer path)"
+# --metrics alone attaches the phase recorder directly; next to --profile
+# and --trace-json it joins the observer fan-out; --proof and --to take
+# the other solver arms; --engine expand times the expansion engine.
+# paper_example is false: each run must exit 20, print `s cnf 0` and
+# report at least one timed call of its engine's main phase.
+mkdir -p target/instrument-gate
+check_metrics() {
+    phase=$1
+    shift
+    status=0
+    ./target/release/qbfsolve "$@" data/paper_example.qtree \
+        > target/instrument-gate/out.txt 2> target/instrument-gate/err.txt || status=$?
+    [ "$status" -eq 20 ] || { echo "ci.sh: qbfsolve $* exited $status"; exit 1; }
+    grep -qx "s cnf 0" target/instrument-gate/out.txt || {
+        echo "ci.sh: qbfsolve $* did not print s cnf 0"; exit 1;
+    }
+    grep -Eq "^c phase $phase +calls +[1-9]" target/instrument-gate/err.txt || {
+        echo "ci.sh: qbfsolve $* timed no $phase call"; exit 1;
+    }
+}
+check_metrics propagate --po --metrics
+check_metrics propagate --po --metrics --profile --trace-json=target/instrument-gate/trace.jsonl
+check_metrics propagate --po --metrics --proof=target/instrument-gate/m.qrp
+./target/release/qbfcheck data/paper_example.qtree target/instrument-gate/m.qrp
+check_metrics propagate --to --metrics --stats
+check_metrics sat_solve --engine expand --metrics
+
 echo "==> qbfserve session replay gate (byte-determinism + per-query certificates)"
 # Pipes a scripted incremental session (push/add/assume/solve/pop plus
 # deliberate protocol errors) through the long-lived qbfserve service
@@ -82,6 +110,25 @@ cmp target/serve-gate/transcript-a.txt target/serve-gate/transcript-b.txt
 for q in q1 q2 q3; do
     ./target/release/qbfcheck target/serve-gate/$q.qtree target/serve-gate/$q.qrp
 done
+# A request line nested 100 000 deep must come back as a structured error
+# with its line number, not a stack overflow, and the session must go on.
+{
+    printf '{"cmd":"solve","x":'
+    head -c 100000 /dev/zero | tr '\0' '['
+    head -c 100000 /dev/zero | tr '\0' ']'
+    printf '}\n{"cmd":"solve"}\n'
+} > target/serve-gate/deep.jsonl
+./target/release/qbfserve --po data/paper_example.qtree \
+    < target/serve-gate/deep.jsonl > target/serve-gate/deep-transcript.txt || {
+    echo "ci.sh: qbfserve died on a deeply nested request"; exit 1;
+}
+# Transcript line 1 answers the initial load of the instance file.
+sed -n 2p target/serve-gate/deep-transcript.txt | grep -q '^{"ok":false,"line":1,' || {
+    echo "ci.sh: deeply nested request not rejected with its line number"; exit 1;
+}
+sed -n 3p target/serve-gate/deep-transcript.txt | grep -q '^{"ok":true,"cmd":"solve"' || {
+    echo "ci.sh: qbfserve stopped answering after a deeply nested request"; exit 1;
+}
 
 echo "==> qbfserve metrics gate (ManualClock byte-determinism + qbfstat round-trip)"
 # Replays a metrics-instrumented session twice under --manual-clock (the

@@ -6,6 +6,10 @@
 //! (objects, arrays, strings with escapes, numbers, booleans, `null`);
 //! it exists so `repro bench-smoke` and the tests can round-trip
 //! `BENCH_qbf.json` without trusting the writer blindly.
+//!
+//! Arrays and objects nest at most [`MAX_DEPTH`] levels: the descent
+//! recurses once per level, so an unbounded depth would let one input
+//! line overflow the stack of a long-lived reader such as `qbfserve`.
 
 /// A parsed JSON value. Objects preserve insertion order (the writer's
 /// field order is part of the byte-determinism contract, so the reader
@@ -96,12 +100,17 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`parse`] accepts (the committed
+/// artifacts nest at most 6 levels).
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (surrounding whitespace allowed; trailing
-/// garbage is an error).
+/// garbage and nesting deeper than [`MAX_DEPTH`] are errors).
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -115,6 +124,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -153,8 +164,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -166,6 +177,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -339,6 +365,21 @@ mod tests {
         assert!(parse("\"bad \\x\"").is_err(), "unknown escape");
         assert!(parse("{\"dup\":1,}").is_err(), "trailing comma");
         assert!(parse("nul").is_err(), "truncated literal");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&arrays(MAX_DEPTH + 1)),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"
+            ))
+        );
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -37,11 +37,11 @@ mod qbf;
 mod var;
 
 pub mod io;
-/// Re-export of [`qbf_metrics`]: the `MetricsSink` engine hook plus the
-/// registry/histogram/clock toolkit it feeds (see that crate's docs).
-/// Core code and downstream crates name these types through
-/// `qbf_core::metrics` so the engine and its instruments always agree on
-/// one version of the hook trait.
+/// Re-export of [`qbf_metrics`]: the engine's phase/gauge vocabulary and
+/// its `EngineMetrics` recorder (an observer, see [`observe`]) plus the
+/// registry/histogram/clock toolkit (see that crate's docs). Core code
+/// and downstream crates name these types through `qbf_core::metrics`
+/// so the engine and its instruments always agree on one version.
 pub mod metrics {
     pub use qbf_metrics::*;
 }

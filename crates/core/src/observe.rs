@@ -12,7 +12,11 @@
 //! determinism test — identical [`crate::solver::Stats`] with and without
 //! an observer — and a timing bench in `crates/bench/benches/paper.rs`).
 //!
-//! Four observers ship with the crate:
+//! The same channel carries the engines' timing instrumentation: phase
+//! boundaries and resource-gauge samples are events too, so a new timed
+//! region is one [`Phase`] variant plus a start/end pair of calls.
+//!
+//! Five observers ship with the crate:
 //!
 //! * [`TreeTrace`] — a Fig. 2-style indented search-tree renderer;
 //! * [`JsonlTrace`] — one hand-rolled JSON object per event (hermetic: no
@@ -20,7 +24,9 @@
 //! * [`Profiler`] — per-prefix-level decision histograms, learned-size
 //!   histograms, propagation chain lengths, watcher-visit distributions
 //!   and peak trail depth;
-//! * [`Progress`] — periodic one-line status reports on stderr.
+//! * [`Progress`] — periodic one-line status reports on stderr;
+//! * [`EngineMetrics`] — per-phase duration histograms read from its own
+//!   [`Clock`] plus last/peak gauge values (defined in `qbf_metrics`).
 //!
 //! Observers compose with [`MultiObserver`], and `&mut O` is itself an
 //! observer, so a caller keeps ownership across a solve:
@@ -38,6 +44,7 @@
 
 use std::fmt;
 
+use crate::metrics::{Clock, EngineGauge, EngineMetrics, Phase};
 use crate::prefix::Prefix;
 use crate::qbf::Qbf;
 use crate::var::Lit;
@@ -123,7 +130,14 @@ impl LearnedKind {
 ///   `on_watcher_visit`; as hot as it);
 /// * [`on_compaction`](SearchObserver::on_compaction) — iterative solver
 ///   only: database reduction physically compacted the constraint arenas,
-///   reclaiming `reclaimed_bytes`.
+///   reclaiming `reclaimed_bytes`;
+/// * [`on_phase_start`](SearchObserver::on_phase_start) /
+///   [`on_phase_end`](SearchObserver::on_phase_end) — iterative solver
+///   and expansion engine: the engine entered / left a timed [`Phase`];
+/// * [`on_gauge`](SearchObserver::on_gauge) — iterative solver and
+///   expansion engine: a resource level ([`EngineGauge`]) was sampled, at
+///   decision boundaries (search) or once per refinement round
+///   (expansion).
 pub trait SearchObserver: fmt::Debug {
     /// A branching decision `lit` was made, opening decision level `level`.
     #[inline]
@@ -196,6 +210,24 @@ pub trait SearchObserver: fmt::Debug {
     fn on_compaction(&mut self, reclaimed_bytes: usize) {
         let _ = reclaimed_bytes;
     }
+
+    /// The engine entered `phase`.
+    #[inline]
+    fn on_phase_start(&mut self, phase: Phase) {
+        let _ = phase;
+    }
+
+    /// The engine left `phase` (always pairs with the last start).
+    #[inline]
+    fn on_phase_end(&mut self, phase: Phase) {
+        let _ = phase;
+    }
+
+    /// The resource level `gauge` currently stands at `value`.
+    #[inline]
+    fn on_gauge(&mut self, gauge: EngineGauge, value: u64) {
+        let _ = (gauge, value);
+    }
 }
 
 /// The do-nothing observer: the solvers' default type parameter. All its
@@ -206,61 +238,8 @@ pub struct NoopObserver;
 
 impl SearchObserver for NoopObserver {}
 
-/// A mutable reference forwards, so callers can keep ownership of an
-/// observer across `Solver::with_observer(..).solve()`.
-impl<T: SearchObserver + ?Sized> SearchObserver for &mut T {
-    #[inline]
-    fn on_decision(&mut self, lit: Lit, level: u32, trail_depth: usize, flipped: bool, score: f64) {
-        (**self).on_decision(lit, level, trail_depth, flipped, score);
-    }
-    #[inline]
-    fn on_propagation(&mut self, lit: Lit, level: u32, trail_depth: usize, kind: PropagationKind) {
-        (**self).on_propagation(lit, level, trail_depth, kind);
-    }
-    #[inline]
-    fn on_conflict(&mut self, level: u32, trail_depth: usize) {
-        (**self).on_conflict(level, trail_depth);
-    }
-    #[inline]
-    fn on_solution(&mut self, level: u32, trail_depth: usize) {
-        (**self).on_solution(level, trail_depth);
-    }
-    #[inline]
-    fn on_learned(&mut self, kind: LearnedKind, size: usize, asserting_level: u32) {
-        (**self).on_learned(kind, size, asserting_level);
-    }
-    #[inline]
-    fn on_backjump(&mut self, from: u32, to: u32) {
-        (**self).on_backjump(from, to);
-    }
-    #[inline]
-    fn on_chrono_backtrack(&mut self, from: u32, to: u32) {
-        (**self).on_chrono_backtrack(from, to);
-    }
-    #[inline]
-    fn on_forget(&mut self, dropped: usize) {
-        (**self).on_forget(dropped);
-    }
-    #[inline]
-    fn on_decay(&mut self) {
-        (**self).on_decay();
-    }
-    #[inline]
-    fn on_watcher_visit(&mut self) {
-        (**self).on_watcher_visit();
-    }
-    #[inline]
-    fn on_blocker_hit(&mut self) {
-        (**self).on_blocker_hit();
-    }
-    #[inline]
-    fn on_compaction(&mut self, reclaimed_bytes: usize) {
-        (**self).on_compaction(reclaimed_bytes);
-    }
-}
-
 /// Fan-out to several observers (used by the `qbfsolve` CLI to combine
-/// `--trace`, `--trace-json`, `--profile` and `--progress`).
+/// `--trace`, `--trace-json`, `--profile`, `--progress` and `--metrics`).
 #[derive(Debug, Default)]
 pub struct MultiObserver<'a> {
     observers: Vec<&'a mut dyn SearchObserver>,
@@ -283,51 +262,50 @@ impl<'a> MultiObserver<'a> {
     }
 }
 
-macro_rules! fan_out {
-    ($self:ident, $method:ident $(, $arg:ident)*) => {
-        for obs in $self.observers.iter_mut() {
-            obs.$method($($arg),*);
+/// Implements every listed event for the two forwarding observers, so a
+/// new event is one trait method plus one line here.
+macro_rules! forward_events {
+    ($($event:ident($($arg:ident: $ty:ty),*);)*) => {
+        /// A mutable reference forwards, so callers can keep ownership of
+        /// an observer across `Solver::with_observer(..).solve()`.
+        impl<T: SearchObserver + ?Sized> SearchObserver for &mut T {
+            $(
+                #[inline]
+                fn $event(&mut self, $($arg: $ty),*) {
+                    (**self).$event($($arg),*);
+                }
+            )*
+        }
+
+        /// Every event reaches every observer, in push order.
+        impl SearchObserver for MultiObserver<'_> {
+            $(
+                fn $event(&mut self, $($arg: $ty),*) {
+                    for obs in self.observers.iter_mut() {
+                        obs.$event($($arg),*);
+                    }
+                }
+            )*
         }
     };
 }
 
-impl SearchObserver for MultiObserver<'_> {
-    fn on_decision(&mut self, lit: Lit, level: u32, trail_depth: usize, flipped: bool, score: f64) {
-        fan_out!(self, on_decision, lit, level, trail_depth, flipped, score);
-    }
-    fn on_propagation(&mut self, lit: Lit, level: u32, trail_depth: usize, kind: PropagationKind) {
-        fan_out!(self, on_propagation, lit, level, trail_depth, kind);
-    }
-    fn on_conflict(&mut self, level: u32, trail_depth: usize) {
-        fan_out!(self, on_conflict, level, trail_depth);
-    }
-    fn on_solution(&mut self, level: u32, trail_depth: usize) {
-        fan_out!(self, on_solution, level, trail_depth);
-    }
-    fn on_learned(&mut self, kind: LearnedKind, size: usize, asserting_level: u32) {
-        fan_out!(self, on_learned, kind, size, asserting_level);
-    }
-    fn on_backjump(&mut self, from: u32, to: u32) {
-        fan_out!(self, on_backjump, from, to);
-    }
-    fn on_chrono_backtrack(&mut self, from: u32, to: u32) {
-        fan_out!(self, on_chrono_backtrack, from, to);
-    }
-    fn on_forget(&mut self, dropped: usize) {
-        fan_out!(self, on_forget, dropped);
-    }
-    fn on_decay(&mut self) {
-        fan_out!(self, on_decay);
-    }
-    fn on_watcher_visit(&mut self) {
-        fan_out!(self, on_watcher_visit);
-    }
-    fn on_blocker_hit(&mut self) {
-        fan_out!(self, on_blocker_hit);
-    }
-    fn on_compaction(&mut self, reclaimed_bytes: usize) {
-        fan_out!(self, on_compaction, reclaimed_bytes);
-    }
+forward_events! {
+    on_decision(lit: Lit, level: u32, trail_depth: usize, flipped: bool, score: f64);
+    on_propagation(lit: Lit, level: u32, trail_depth: usize, kind: PropagationKind);
+    on_conflict(level: u32, trail_depth: usize);
+    on_solution(level: u32, trail_depth: usize);
+    on_learned(kind: LearnedKind, size: usize, asserting_level: u32);
+    on_backjump(from: u32, to: u32);
+    on_chrono_backtrack(from: u32, to: u32);
+    on_forget(dropped: usize);
+    on_decay();
+    on_watcher_visit();
+    on_blocker_hit();
+    on_compaction(reclaimed_bytes: usize);
+    on_phase_start(phase: Phase);
+    on_phase_end(phase: Phase);
+    on_gauge(gauge: EngineGauge, value: u64);
 }
 
 // ----------------------------------------------------------------------
@@ -1025,6 +1003,27 @@ impl SearchObserver for Progress {
     }
     fn on_learned(&mut self, _kind: LearnedKind, _size: usize, _asserting_level: u32) {
         self.learned += 1;
+    }
+}
+
+// ----------------------------------------------------------------------
+// EngineMetrics
+// ----------------------------------------------------------------------
+
+/// The metrics recorder observes phase spans and gauge samples only;
+/// every other event keeps its empty default.
+impl<C: Clock> SearchObserver for EngineMetrics<C> {
+    #[inline]
+    fn on_phase_start(&mut self, phase: Phase) {
+        self.phase_start(phase);
+    }
+    #[inline]
+    fn on_phase_end(&mut self, phase: Phase) {
+        self.phase_end(phase);
+    }
+    #[inline]
+    fn on_gauge(&mut self, gauge: EngineGauge, value: u64) {
+        self.sample(gauge, value);
     }
 }
 

@@ -44,8 +44,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 
-use crate::metrics::{EngineMetrics, MetricsSink, NoopMetrics, WallClock};
-use crate::observe::NoopObserver;
+use crate::metrics::{EngineMetrics, WallClock};
+use crate::observe::{NoopObserver, SearchObserver};
 use crate::proof::{NoProof, ProofLog, ProofSink};
 use crate::qbf::Qbf;
 use crate::solver::{Solver, SolverConfig, Stats};
@@ -461,12 +461,12 @@ impl ExternalSlot<'_> {
 // The drivers
 // ----------------------------------------------------------------------
 
-struct Worker<'v, P: ProofSink, M: MetricsSink> {
+struct Worker<'v, O: SearchObserver, P: ProofSink> {
     index: usize,
     class: ShareClass,
     node_limit: Option<u64>,
     conflict_limit: Option<u64>,
-    solver: Solver<'v, NoopObserver, P, M>,
+    solver: Solver<'v, O, P>,
     value: Option<bool>,
     finished: bool,
     timed_out: bool,
@@ -474,7 +474,7 @@ struct Worker<'v, P: ProofSink, M: MetricsSink> {
     steps: u64,
 }
 
-impl<P: ProofSink, M: MetricsSink> Worker<'_, P, M> {
+impl<O: SearchObserver, P: ProofSink> Worker<'_, O, P> {
     fn live(&self) -> bool {
         !self.finished && !self.timed_out && !self.panicked
     }
@@ -543,8 +543,8 @@ fn run_parallel<J: Send, F: Fn(J) + Sync>(jobs: Vec<J>, threads: usize, f: F) {
 
 /// One schedulable unit of the deterministic driver: a search worker or
 /// an external engine.
-enum Job<'w, 'v, 'e, P: ProofSink, M: MetricsSink> {
-    Search(&'w mut Worker<'v, P, M>),
+enum Job<'w, 'v, 'e, O: SearchObserver, P: ProofSink> {
+    Search(&'w mut Worker<'v, O, P>),
     External(&'w mut ExternalSlot<'e>),
 }
 
@@ -552,20 +552,20 @@ enum Job<'w, 'v, 'e, P: ProofSink, M: MetricsSink> {
 /// search workers first, externals after). Each worker interprets the
 /// shared epoch bound in its own cost metric, so the lockstep stays
 /// byte-reproducible across thread counts and repeated runs.
-fn run_deterministic<P, M>(
-    workers: &mut [Worker<'_, P, M>],
+fn run_deterministic<O, P>(
+    workers: &mut [Worker<'_, O, P>],
     externals: &mut [ExternalSlot<'_>],
     opts: &PortfolioOptions,
 ) -> Option<usize>
 where
+    O: SearchObserver + Send,
     P: ProofSink + Send,
-    M: MetricsSink + Send,
 {
     let epoch = opts.epoch.max(1);
     let inject = opts.debug_panic_worker;
     let mut epoch_end = epoch;
     loop {
-        let live: Vec<Job<'_, '_, '_, P, M>> = workers
+        let live: Vec<Job<'_, '_, '_, O, P>> = workers
             .iter_mut()
             .filter(|w| w.live())
             .map(Job::Search)
@@ -628,7 +628,7 @@ where
 /// Deterministic epoch barrier: collects every worker's outbox in
 /// worker-index order into one batch and stages it into each live
 /// worker's connection.
-fn exchange<P: ProofSink, M: MetricsSink>(workers: &mut [Worker<'_, P, M>]) {
+fn exchange<O: SearchObserver, P: ProofSink>(workers: &mut [Worker<'_, O, P>]) {
     let mut batch: Vec<ShareEntry> = Vec::new();
     for w in workers.iter_mut() {
         let (from, class) = (w.index, w.class);
@@ -653,14 +653,14 @@ fn exchange<P: ProofSink, M: MetricsSink>(workers: &mut [Worker<'_, P, M>]) {
 
 /// Free-running driver: one thread per worker (search and external),
 /// first finisher raises the stop flag; returns the winner index.
-fn run_free<P, M>(
-    workers: &mut [Worker<'_, P, M>],
+fn run_free<O, P>(
+    workers: &mut [Worker<'_, O, P>],
     externals: &mut [ExternalSlot<'_>],
     opts: &PortfolioOptions,
 ) -> Option<usize>
 where
+    O: SearchObserver + Send,
     P: ProofSink + Send,
-    M: MetricsSink + Send,
 {
     let stop = Arc::new(AtomicBool::new(false));
     for w in workers.iter_mut() {
@@ -736,15 +736,15 @@ where
 // Entry points
 // ----------------------------------------------------------------------
 
-fn run_portfolio<'e, P, M>(
+fn run_portfolio<'e, O, P>(
     variants: &[Variant],
-    instruments: Vec<(P, M)>,
+    instruments: Vec<(O, P)>,
     external_workers: Vec<Box<dyn ExternalWorker + 'e>>,
     opts: &PortfolioOptions,
 ) -> PortfolioOutcome
 where
+    O: SearchObserver + Send,
     P: ProofSink + Send,
-    M: MetricsSink + Send,
 {
     assert!(
         !variants.is_empty() || !external_workers.is_empty(),
@@ -761,16 +761,16 @@ where
             steps: 0,
         })
         .collect();
-    let mut workers: Vec<Worker<'_, P, M>> = variants
+    let mut workers: Vec<Worker<'_, O, P>> = variants
         .iter()
         .zip(instruments)
         .enumerate()
-        .map(|(index, (v, (proof, metrics)))| Worker {
+        .map(|(index, (v, (observer, proof)))| Worker {
             index,
             class: v.class,
             node_limit: v.config.node_limit,
             conflict_limit: v.config.conflict_limit,
-            solver: Solver::with_instruments(&v.qbf, v.config.clone(), NoopObserver, proof, metrics),
+            solver: Solver::with_parts(&v.qbf, v.config.clone(), observer, proof),
             value: None,
             finished: false,
             timed_out: false,
@@ -850,7 +850,7 @@ where
 /// (see `qbf_prenex::portfolio::roster`); every variant must share
 /// matrix and variable numbering with the others.
 pub fn solve(variants: &[Variant], opts: &PortfolioOptions) -> PortfolioOutcome {
-    let instruments = variants.iter().map(|_| (NoProof, NoopMetrics)).collect();
+    let instruments = variants.iter().map(|_| (NoopObserver, NoProof)).collect();
     run_portfolio(variants, instruments, Vec::new(), opts)
 }
 
@@ -866,7 +866,7 @@ pub fn solve_mixed<'e>(
     externals: Vec<Box<dyn ExternalWorker + 'e>>,
     opts: &PortfolioOptions,
 ) -> PortfolioOutcome {
-    let instruments = variants.iter().map(|_| (NoProof, NoopMetrics)).collect();
+    let instruments = variants.iter().map(|_| (NoopObserver, NoProof)).collect();
     run_portfolio(variants, instruments, externals, opts)
 }
 
@@ -878,8 +878,8 @@ pub fn solve_mixed<'e>(
 /// order the variant's prefix extends.
 pub fn solve_with_proof(variants: &[Variant], opts: &PortfolioOptions) -> PortfolioOutcome {
     let mut logs: Vec<ProofLog> = variants.iter().map(|_| ProofLog::new()).collect();
-    let instruments: Vec<(&mut ProofLog, NoopMetrics)> =
-        logs.iter_mut().map(|l| (l, NoopMetrics)).collect();
+    let instruments: Vec<(NoopObserver, &mut ProofLog)> =
+        logs.iter_mut().map(|l| (NoopObserver, l)).collect();
     let mut outcome = run_portfolio(variants, instruments, Vec::new(), opts);
     if let Some(w) = outcome.winner {
         if logs[w].is_concluded() {
@@ -893,15 +893,15 @@ pub fn solve_with_proof(variants: &[Variant], opts: &PortfolioOptions) -> Portfo
 /// instrument; each report's [`WorkerReport::metrics_json`] carries the
 /// worker's phase-span/gauge snapshot.
 pub fn solve_with_metrics(variants: &[Variant], opts: &PortfolioOptions) -> PortfolioOutcome {
-    let mut sinks: Vec<EngineMetrics<WallClock>> = variants
+    let mut recorders: Vec<EngineMetrics<WallClock>> = variants
         .iter()
         .map(|_| EngineMetrics::new(WallClock::new()))
         .collect();
-    let instruments: Vec<(NoProof, &mut EngineMetrics<WallClock>)> =
-        sinks.iter_mut().map(|m| (NoProof, m)).collect();
+    let instruments: Vec<(&mut EngineMetrics<WallClock>, NoProof)> =
+        recorders.iter_mut().map(|m| (m, NoProof)).collect();
     let mut outcome = run_portfolio(variants, instruments, Vec::new(), opts);
-    for (report, sink) in outcome.workers.iter_mut().zip(sinks.iter()) {
-        report.metrics_json = Some(sink.snapshot_json());
+    for (report, recorder) in outcome.workers.iter_mut().zip(recorders.iter()) {
+        report.metrics_json = Some(recorder.snapshot_json());
     }
     outcome
 }

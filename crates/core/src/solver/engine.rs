@@ -83,7 +83,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::metrics::{EngineGauge, MetricsSink, NoopMetrics, Phase};
+use crate::metrics::{EngineGauge, Phase};
 use crate::observe::{LearnedKind, NoopObserver, PropagationKind, SearchObserver};
 use crate::portfolio::ShareConn;
 use crate::prefix::{BlockId, Prefix};
@@ -166,25 +166,19 @@ fn attach_unblock_sentinels(db: &mut Db, prefix: &Prefix, cref: ConstraintRef) {
 /// The iterative QUBE-style solver. See the [module docs](crate::solver).
 ///
 /// The solver is generic over a [`SearchObserver`] so that tracing,
-/// profiling and progress reporting can hook every search event. The
-/// default observer is [`NoopObserver`], whose empty inline callbacks
-/// compile away entirely — `Solver::new` runs the exact pre-observability
-/// hot path (see `tests/observe_integration.rs` for the determinism
-/// guard).
+/// profiling, progress reporting and phase timing can hook every search
+/// event. The default observer is [`NoopObserver`], whose empty inline
+/// callbacks compile away entirely — `Solver::new` runs the exact
+/// pre-observability hot path (see `tests/observe_integration.rs` for the
+/// determinism guard).
 #[derive(Debug)]
-pub struct Solver<
-    'a,
-    O: SearchObserver = NoopObserver,
-    P: ProofSink = NoProof,
-    M: MetricsSink = NoopMetrics,
-> {
+pub struct Solver<'a, O: SearchObserver = NoopObserver, P: ProofSink = NoProof> {
     qbf: &'a Qbf,
     config: SolverConfig,
     db: Db,
     brancher: Brancher,
     observer: O,
     proof: P,
-    metrics: M,
 
     value: Vec<Option<bool>>,
     level: Vec<u32>,
@@ -219,9 +213,6 @@ pub struct Solver<
     /// resolution loops and the implicant builder to answer
     /// `lits.contains(..)` in O(1). Always all-false between uses.
     lit_mark: Vec<bool>,
-    /// Whether `QBF_DEBUG` was set at construction (checking the
-    /// environment on every solution is measurable on cube-heavy runs).
-    debug_dump: bool,
 
     /// Whether `run` already performed the initial Lemma 4/5 scan and
     /// pure seeding. Lets a portfolio driver call `solve_mut` repeatedly
@@ -263,6 +254,13 @@ impl<'a, O: SearchObserver> Solver<'a, O> {
     pub fn with_observer(qbf: &'a Qbf, config: SolverConfig, observer: O) -> Self {
         Solver::with_parts(qbf, config, observer, NoProof)
     }
+
+    /// The same as [`Solver::with_observer`]. An `EngineMetrics` recorder
+    /// is an ordinary observer; this name stays only because the
+    /// `perfbench` harness attaches its recorder through it.
+    pub fn with_metrics(qbf: &'a Qbf, config: SolverConfig, metrics: O) -> Self {
+        Solver::with_observer(qbf, config, metrics)
+    }
 }
 
 impl<'a, P: ProofSink> Solver<'a, NoopObserver, P> {
@@ -282,31 +280,9 @@ impl<'a, P: ProofSink> Solver<'a, NoopObserver, P> {
     }
 }
 
-impl<'a, M: MetricsSink> Solver<'a, NoopObserver, NoProof, M> {
-    /// Prepares a solver that reports phase timings and resource gauges
-    /// to `metrics` (see [`crate::metrics`]). Pass `&mut sink` to keep
-    /// ownership of the sink across [`Solver::solve`].
-    pub fn with_metrics(qbf: &'a Qbf, config: SolverConfig, metrics: M) -> Self {
-        Solver::with_instruments(qbf, config, NoopObserver, NoProof, metrics)
-    }
-}
-
 impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
-    /// Observer and proof sink together (metrics stay disabled).
-    pub fn with_parts(qbf: &'a Qbf, config: SolverConfig, observer: O, proof: P) -> Self {
-        Solver::with_instruments(qbf, config, observer, proof, NoopMetrics)
-    }
-}
-
-impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
-    /// Fully general constructor: observer, proof sink and metrics sink.
-    pub fn with_instruments(
-        qbf: &'a Qbf,
-        mut config: SolverConfig,
-        observer: O,
-        proof: P,
-        metrics: M,
-    ) -> Self {
+    /// Fully general constructor: observer and proof sink together.
+    pub fn with_parts(qbf: &'a Qbf, mut config: SolverConfig, observer: O, proof: P) -> Self {
         if P::ENABLED {
             // See `with_proof`: certificates require constraint
             // antecedents for every non-decision assignment.
@@ -354,7 +330,6 @@ impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
             brancher,
             observer,
             proof,
-            metrics,
             value: vec![None; n],
             level: vec![0; n],
             reason: vec![Reason::Decision; n],
@@ -369,7 +344,6 @@ impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
             conflicts_since_decay: 0,
             analysis_mark: 0,
             lit_mark: vec![false; 2 * n],
-            debug_dump: std::env::var_os("QBF_DEBUG").is_some(),
             search_started: false,
             epoch_limit: None,
             stop: None,
@@ -467,13 +441,9 @@ impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
                     self.stats.conflicts += 1;
                     self.observer.on_conflict(self.current_level(), self.trail.len());
                     self.tick_decay();
-                    if M::ENABLED {
-                        self.metrics.phase_start(Phase::ConflictAnalysis);
-                    }
+                    self.observer.on_phase_start(Phase::ConflictAnalysis);
                     let done = self.handle_conflict(c);
-                    if M::ENABLED {
-                        self.metrics.phase_end(Phase::ConflictAnalysis);
-                    }
+                    self.observer.on_phase_end(Phase::ConflictAnalysis);
                     if let Some(v) = done {
                         return Some(v);
                     }
@@ -487,13 +457,9 @@ impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
                         self.proof.chain_start(k.token(), &init, true);
                     }
                     self.analysis_mark = 0;
-                    if M::ENABLED {
-                        self.metrics.phase_start(Phase::SolutionAnalysis);
-                    }
+                    self.observer.on_phase_start(Phase::SolutionAnalysis);
                     let done = self.handle_solution(init);
-                    if M::ENABLED {
-                        self.metrics.phase_end(Phase::SolutionAnalysis);
-                    }
+                    self.observer.on_phase_end(Phase::SolutionAnalysis);
                     if let Some(v) = done {
                         return Some(v);
                     }
@@ -516,13 +482,9 @@ impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
                             self.proof.chain_init_cube(&init);
                         }
                         self.analysis_mark = 0;
-                        if M::ENABLED {
-                            self.metrics.phase_start(Phase::SolutionAnalysis);
-                        }
+                        self.observer.on_phase_start(Phase::SolutionAnalysis);
                         let done = self.handle_solution(init);
-                        if M::ENABLED {
-                            self.metrics.phase_end(Phase::SolutionAnalysis);
-                        }
+                        self.observer.on_phase_end(Phase::SolutionAnalysis);
                         if let Some(v) = done {
                             return Some(v);
                         }
@@ -754,13 +716,9 @@ impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
 
     /// Propagates to fixpoint, interleaving monotone-literal fixing.
     fn propagate_and_fix(&mut self) -> Option<Event> {
-        if M::ENABLED {
-            self.metrics.phase_start(Phase::Propagate);
-        }
+        self.observer.on_phase_start(Phase::Propagate);
         let ev = self.propagate_and_fix_inner();
-        if M::ENABLED {
-            self.metrics.phase_end(Phase::Propagate);
-        }
+        self.observer.on_phase_end(Phase::Propagate);
         ev
     }
 
@@ -1206,17 +1164,17 @@ impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
         match lit {
             None => false,
             Some(lit) => {
-                if M::ENABLED {
-                    // Resource gauges are sampled at decision boundaries:
-                    // frequent enough for a time-series, far off the
-                    // propagation hot path.
-                    self.metrics.sample(EngineGauge::ArenaBytes, self.db.arena_bytes() as u64);
-                    self.metrics.sample(
-                        EngineGauge::LearnedConstraints,
-                        (self.db.num_learned_clauses + self.db.num_learned_cubes) as u64,
-                    );
-                    self.metrics.sample(EngineGauge::TrailDepth, self.trail.len() as u64);
-                }
+                // Resource gauges are sampled at decision boundaries:
+                // frequent enough for a time-series, far off the
+                // propagation hot path.
+                self.observer
+                    .on_gauge(EngineGauge::ArenaBytes, self.db.arena_bytes() as u64);
+                self.observer.on_gauge(
+                    EngineGauge::LearnedConstraints,
+                    (self.db.num_learned_clauses + self.db.num_learned_cubes) as u64,
+                );
+                self.observer
+                    .on_gauge(EngineGauge::TrailDepth, self.trail.len() as u64);
                 self.push_decision(lit, false, None);
                 true
             }
@@ -1822,14 +1780,6 @@ impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
             return Some(true);
         }
         self.stats.cube_size_sum += lits.len() as u64;
-        if self.debug_dump && self.stats.solutions < 12 {
-            let levels: Vec<(String, u32)> = lits
-                .iter()
-                .map(|&m| (m.to_string(), if self.lit_value(m).is_some() { self.level[m.var().index()] } else { 9999 }))
-                .collect();
-            let decs: Vec<String> = self.frames.iter().map(|f| format!("{}{}", f.lit, if self.is_existential(f.lit.var()) {"e"} else {"a"})).collect();
-            eprintln!("SOLUTION depth={} level={} cube={:?} decisions={:?}", self.trail.len(), self.current_level(), levels, decs);
-        }
         let cref = self.learn(lits.clone(), Kind::Cube);
         self.unwind_solution(lits, cref)
     }
@@ -2085,13 +2035,9 @@ impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
         if learned <= self.config.max_learned {
             return;
         }
-        if M::ENABLED {
-            self.metrics.phase_start(Phase::ReduceDb);
-        }
+        self.observer.on_phase_start(Phase::ReduceDb);
         self.reduce_db();
-        if M::ENABLED {
-            self.metrics.phase_end(Phase::ReduceDb);
-        }
+        self.observer.on_phase_end(Phase::ReduceDb);
     }
 
     fn reduce_db(&mut self) {
@@ -2155,9 +2101,7 @@ impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
     /// assigned variables and pseudo-reasons are locked against deletion,
     /// so their remap always succeeds.
     fn compact_db(&mut self) {
-        if M::ENABLED {
-            self.metrics.phase_start(Phase::Compaction);
-        }
+        self.observer.on_phase_start(Phase::Compaction);
         // Compaction renames `ConstraintRef`s, which the proof sink uses
         // as tokens: snapshot the live refs first, then rebuild the sink's
         // token map from the (old, new) pairs.
@@ -2197,9 +2141,7 @@ impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
         self.stats.compactions += 1;
         self.stats.arena_bytes_reclaimed += map.reclaimed_bytes as u64;
         self.observer.on_compaction(map.reclaimed_bytes);
-        if M::ENABLED {
-            self.metrics.phase_end(Phase::Compaction);
-        }
+        self.observer.on_phase_end(Phase::Compaction);
     }
 
     // ------------------------------------------------------------------
@@ -2347,10 +2289,9 @@ pub(crate) struct Session {
     conflicts_since_decay: u64,
     analysis_mark: u32,
     lit_mark: Vec<bool>,
-    debug_dump: bool,
 }
 
-impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
+impl<O: SearchObserver, P: ProofSink> Solver<'_, O, P> {
     /// Detaches the owned search state (ends the borrow of the QBF and
     /// drops the instruments — sessions persist search state only).
     pub(crate) fn into_session(self) -> Session {
@@ -2372,7 +2313,6 @@ impl<'a, O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'a, O, P, M> {
             conflicts_since_decay: self.conflicts_since_decay,
             analysis_mark: self.analysis_mark,
             lit_mark: self.lit_mark,
-            debug_dump: self.debug_dump,
         }
     }
 }
@@ -2399,7 +2339,6 @@ impl<'a, O: SearchObserver> Solver<'a, O> {
             brancher: s.brancher,
             observer,
             proof: NoProof,
-            metrics: NoopMetrics,
             value: s.value,
             level: s.level,
             reason: s.reason,
@@ -2414,7 +2353,6 @@ impl<'a, O: SearchObserver> Solver<'a, O> {
             conflicts_since_decay: s.conflicts_since_decay,
             analysis_mark: s.analysis_mark,
             lit_mark: s.lit_mark,
-            debug_dump: s.debug_dump,
             // Portfolio hooks never persist across a session detach: a
             // re-attached view is a fresh query.
             search_started: false,
@@ -2438,7 +2376,7 @@ impl<'a, O: SearchObserver> Solver<'a, O> {
 /// [`Solver::shadow_verify`] then cross-checks the two propagators'
 /// conclusions at every propagation fixpoint.
 #[cfg(feature = "debug-counters")]
-impl<O: SearchObserver, P: ProofSink, M: MetricsSink> Solver<'_, O, P, M> {
+impl<O: SearchObserver, P: ProofSink> Solver<'_, O, P> {
     fn shadow_assign(&mut self, lit: Lit) {
         // The satisfaction tracker in `assign` already maintains
         // `true_count` for original clauses; the shadow adds the learned

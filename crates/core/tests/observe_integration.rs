@@ -9,9 +9,9 @@
 //! * the zero-overhead guard: attaching observers must not perturb the
 //!   search (bit-identical statistics with and without observers).
 
-use qbf_core::metrics::{EngineMetrics, ManualClock, NoopMetrics};
-use qbf_core::observe::{JsonlTrace, MultiObserver, NoopObserver, Profiler, Progress, TreeTrace};
-use qbf_core::proof::{NoProof, ProofLog};
+use qbf_core::metrics::{EngineGauge, EngineMetrics, ManualClock, Phase};
+use qbf_core::observe::{JsonlTrace, MultiObserver, Profiler, Progress, TreeTrace};
+use qbf_core::proof::ProofLog;
 use qbf_core::recursive::{self, RecursiveConfig};
 use qbf_core::samples;
 use qbf_core::solver::{Solver, SolverConfig, Stats};
@@ -174,34 +174,20 @@ fn observers_do_not_perturb_the_search() {
     }
 }
 
-/// The metrics analogue of the zero-overhead guard, pinning the
-/// `MetricsSink` contract from two sides: an explicitly-attached
-/// `NoopMetrics` is the same monomorphization as the default solver, and
-/// a *live* `EngineMetrics` sink — which times phases and samples gauges
-/// but never feeds a search decision — must also leave every statistic
-/// bit-identical.
+/// The metrics analogue of the zero-overhead guard. A *live*
+/// `EngineMetrics` recorder — which times phases and samples gauges but
+/// never feeds a search decision — must leave every statistic
+/// bit-identical, and since it is an ordinary observer it must record
+/// the same spans and gauges inside a `MultiObserver` (next to a
+/// `Profiler`) as when attached alone.
 #[test]
 fn metrics_do_not_perturb_the_search() {
     for seed in 0..8u64 {
         let qbf = samples::random_qbf(seed, 10, 26);
         for config in [SolverConfig::partial_order(), SolverConfig::total_order()] {
-            // Baseline: metrics disabled (the default type parameter).
+            // Baseline: no observer (the default type parameter).
             let plain = Solver::new(&qbf, config.clone()).solve();
-            // Explicit Noop through the general constructor.
-            let noop = Solver::with_instruments(
-                &qbf,
-                config.clone(),
-                NoopObserver,
-                NoProof,
-                NoopMetrics,
-            )
-            .solve();
-            assert_eq!(plain.value(), noop.value());
-            assert_eq!(
-                plain.stats, noop.stats,
-                "explicit NoopMetrics must be the disabled path (seed {seed})"
-            );
-            // Live sink under a deterministic clock.
+            // Live recorder under a deterministic clock.
             let mut sink = EngineMetrics::new(ManualClock::new(1));
             let metered = Solver::with_metrics(&qbf, config.clone(), &mut sink).solve();
             assert_eq!(plain.value(), metered.value());
@@ -210,7 +196,6 @@ fn metrics_do_not_perturb_the_search() {
                 "a live metrics sink must leave the search bit-identical (seed {seed})"
             );
             if plain.stats.decisions > 0 {
-                use qbf_core::metrics::{EngineGauge, Phase};
                 assert!(
                     sink.phase_hist(Phase::Propagate).count() > 0,
                     "the live sink actually recorded spans (seed {seed})"
@@ -220,6 +205,27 @@ fn metrics_do_not_perturb_the_search() {
                     "resource gauges sampled at decision boundaries (seed {seed})"
                 );
             }
+            // The same recorder inside a fan-out, next to a profiler.
+            let mut fanned = EngineMetrics::new(ManualClock::new(1));
+            let mut profiler = Profiler::new(&qbf);
+            let mut multi = MultiObserver::new();
+            multi.push(&mut profiler);
+            multi.push(&mut fanned);
+            let shared = Solver::with_observer(&qbf, config.clone(), multi).solve();
+            assert_eq!(plain.value(), shared.value());
+            assert_eq!(
+                plain.stats, shared.stats,
+                "a fanned-out recorder must leave the search bit-identical (seed {seed})"
+            );
+            let spans = |m: &EngineMetrics<_>| Phase::ALL.map(|p| m.phase_hist(p).count());
+            let peaks = |m: &EngineMetrics<_>| EngineGauge::ALL.map(|g| m.gauge_peak(g));
+            assert_eq!(
+                spans(&sink),
+                spans(&fanned),
+                "span counts per phase (seed {seed})"
+            );
+            assert_eq!(peaks(&sink), peaks(&fanned), "gauge peaks (seed {seed})");
+            assert_eq!(profiler.decisions(), plain.stats.decisions, "seed {seed}");
         }
     }
 }

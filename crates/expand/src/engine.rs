@@ -64,7 +64,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::AtomicBool;
 
-use qbf_core::metrics::{EngineGauge, MetricsSink, NoopMetrics, Phase};
+use qbf_core::metrics::{EngineGauge, Phase};
+use qbf_core::observe::{NoopObserver, SearchObserver};
 use qbf_core::{Lit, Qbf, Quantifier, Var};
 
 use crate::sat::{SatSolver, SolveResult};
@@ -222,10 +223,10 @@ enum Advance {
 /// advances the refinement loop up to a cost bound and can be called
 /// repeatedly, which is how the portfolio races it against the search
 /// workers in deterministic lockstep.
-pub struct ExpandSolver<'a, M: MetricsSink = NoopMetrics> {
+pub struct ExpandSolver<'a, O: SearchObserver = NoopObserver> {
     qbf: &'a Qbf,
     config: ExpandConfig,
-    metrics: M,
+    observer: O,
     /// Quantifier per variable index (`None` = unused/free).
     quant: Vec<Option<Quantifier>>,
     /// Dependency set per variable index, sorted by preorder position.
@@ -259,16 +260,18 @@ pub struct ExpandSolver<'a, M: MetricsSink = NoopMetrics> {
     final_core: u64,
 }
 
-impl<'a> ExpandSolver<'a, NoopMetrics> {
+impl<'a> ExpandSolver<'a> {
     /// An engine over `qbf` with no instrumentation.
     pub fn new(qbf: &'a Qbf, config: ExpandConfig) -> Self {
-        Self::with_metrics(qbf, config, NoopMetrics)
+        Self::with_observer(qbf, config, NoopObserver)
     }
 }
 
-impl<'a, M: MetricsSink> ExpandSolver<'a, M> {
-    /// An engine over `qbf` reporting to `metrics`.
-    pub fn with_metrics(qbf: &'a Qbf, config: ExpandConfig, metrics: M) -> Self {
+impl<'a, O: SearchObserver> ExpandSolver<'a, O> {
+    /// An engine over `qbf` reporting its [`Phase::SatSolve`] /
+    /// [`Phase::Refine`] spans and its [`EngineGauge::AbstractionConjuncts`]
+    /// samples to `observer` (the only events this engine emits).
+    pub fn with_observer(qbf: &'a Qbf, config: ExpandConfig, observer: O) -> Self {
         let n = qbf.num_vars();
         let prefix = qbf.prefix();
         let mut quant: Vec<Option<Quantifier>> = (0..n)
@@ -342,7 +345,7 @@ impl<'a, M: MetricsSink> ExpandSolver<'a, M> {
         let mut engine = ExpandSolver {
             qbf,
             config,
-            metrics,
+            observer,
             quant,
             deps,
             u_vars,
@@ -651,15 +654,11 @@ impl<'a, M: MetricsSink> ExpandSolver<'a, M> {
                 EnginePhase::SolveExists => {
                     let sub =
                         budget.map(|b| b.saturating_sub(self.sat_a.cost()));
-                    if M::ENABLED {
-                        self.metrics.phase_start(Phase::SatSolve);
-                    }
+                    self.observer.on_phase_start(Phase::SatSolve);
                     let sel = std::mem::take(&mut self.sel_e);
                     let result = self.sat_e.solve_limited(&sel, sub, stop);
                     self.sel_e = sel;
-                    if M::ENABLED {
-                        self.metrics.phase_end(Phase::SatSolve);
-                    }
+                    self.observer.on_phase_end(Phase::SatSolve);
                     if matches!(result, SolveResult::Sat | SolveResult::Unsat)
                     {
                         self.sat_calls += 1;
@@ -674,13 +673,9 @@ impl<'a, M: MetricsSink> ExpandSolver<'a, M> {
                             self.phase = EnginePhase::Done;
                         }
                         SolveResult::Sat => {
-                            if M::ENABLED {
-                                self.metrics.phase_start(Phase::Refine);
-                            }
+                            self.observer.on_phase_start(Phase::Refine);
                             self.refine_with_candidates();
-                            if M::ENABLED {
-                                self.metrics.phase_end(Phase::Refine);
-                            }
+                            self.observer.on_phase_end(Phase::Refine);
                             self.phase = EnginePhase::SolveForall;
                         }
                     }
@@ -688,15 +683,11 @@ impl<'a, M: MetricsSink> ExpandSolver<'a, M> {
                 EnginePhase::SolveForall => {
                     let sub =
                         budget.map(|b| b.saturating_sub(self.sat_e.cost()));
-                    if M::ENABLED {
-                        self.metrics.phase_start(Phase::SatSolve);
-                    }
+                    self.observer.on_phase_start(Phase::SatSolve);
                     let sel = std::mem::take(&mut self.sel_a);
                     let result = self.sat_a.solve_limited(&sel, sub, stop);
                     self.sel_a = sel;
-                    if M::ENABLED {
-                        self.metrics.phase_end(Phase::SatSolve);
-                    }
+                    self.observer.on_phase_end(Phase::SatSolve);
                     if matches!(result, SolveResult::Sat | SolveResult::Unsat)
                     {
                         self.sat_calls += 1;
@@ -711,9 +702,7 @@ impl<'a, M: MetricsSink> ExpandSolver<'a, M> {
                             self.phase = EnginePhase::Done;
                         }
                         SolveResult::Sat => {
-                            if M::ENABLED {
-                                self.metrics.phase_start(Phase::Refine);
-                            }
+                            self.observer.on_phase_start(Phase::Refine);
                             let added = self.refine_with_counterexamples();
                             let decided = if added == 0 && !self.force_mu() {
                                 // A is the full expansion and φ∃ was
@@ -725,16 +714,11 @@ impl<'a, M: MetricsSink> ExpandSolver<'a, M> {
                                 false
                             };
                             self.rounds += 1;
-                            if M::ENABLED {
-                                self.metrics.phase_end(Phase::Refine);
-                                let size = (self.a_set.len()
-                                    + self.b_set.len())
-                                    as u64;
-                                self.metrics.sample(
-                                    EngineGauge::AbstractionConjuncts,
-                                    size,
-                                );
-                            }
+                            self.observer.on_phase_end(Phase::Refine);
+                            self.observer.on_gauge(
+                                EngineGauge::AbstractionConjuncts,
+                                (self.a_set.len() + self.b_set.len()) as u64,
+                            );
                             if !decided {
                                 self.phase = EnginePhase::SolveExists;
                             }

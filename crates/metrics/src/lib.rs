@@ -10,9 +10,9 @@
 //! * [`registry`] — [`Registry`], an insertion-ordered store of named
 //!   counters/gauges/histograms rendering to Prometheus text exposition
 //!   and one-line JSON snapshots.
-//! * [`sink`] — [`MetricsSink`], the zero-cost-when-disabled engine
-//!   hook (mirroring `SearchObserver`/`ProofSink` in `qbf-core`), with
-//!   [`NoopMetrics`] and the live [`EngineMetrics`].
+//! * [`sink`] — the engine's [`Phase`] and [`EngineGauge`] vocabulary
+//!   and [`EngineMetrics`], the live recorder that `qbf-core` attaches
+//!   to a search as one more `SearchObserver`.
 //!
 //! The crate-wide invariant: **every render is a pure function of the
 //! recorded values**, and under [`ManualClock`] the recorded values are
@@ -28,4 +28,4 @@ pub mod sink;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use hist::LogHistogram;
 pub use registry::{CounterId, GaugeId, HistId, Registry};
-pub use sink::{EngineGauge, EngineMetrics, MetricsSink, NoopMetrics, Phase};
+pub use sink::{EngineGauge, EngineMetrics, Phase};

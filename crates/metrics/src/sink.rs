@@ -1,16 +1,13 @@
-//! The zero-cost engine hook: [`MetricsSink`].
+//! Engine instrumentation vocabulary and its live recorder.
 //!
-//! Mirrors the `SearchObserver` / `ProofSink` pattern from `qbf-core`:
-//! the solver takes a `M: MetricsSink` type parameter defaulting to
-//! [`NoopMetrics`], guards every hook site with `if M::ENABLED`, and the
-//! hooks themselves are empty-bodied `#[inline]` defaults — so with the
-//! default sink monomorphization deletes the instrumentation entirely
-//! and the hot path compiles to the same code as before this module
-//! existed (pinned by a `Stats`-bit-identity test in `qbf-core`).
-//!
-//! The engine never reads a clock: it only announces *what* is happening
-//! ([`Phase`] boundaries) and *how big* things are ([`EngineGauge`]
-//! samples). [`EngineMetrics`] is the live implementation that turns
+//! The engines never read a clock: they only announce *what* is
+//! happening ([`Phase`] boundaries) and *how big* things are
+//! ([`EngineGauge`] samples). Both arrive as `SearchObserver` events of
+//! `qbf-core` (`on_phase_start`, `on_phase_end`, `on_gauge`), whose
+//! empty inline defaults make an unobserved solve compile to the plain
+//! hot path. [`EngineMetrics`] is the live recorder: `qbf-core`
+//! implements `SearchObserver` for it, so it attaches like any other
+//! observer (alone, by `&mut`, or inside a `MultiObserver`) and turns
 //! phase boundaries into durations by reading its own [`Clock`] — which
 //! is how `ManualClock` determinism reaches engine timing without the
 //! engine knowing about time at all.
@@ -18,8 +15,9 @@
 use crate::clock::Clock;
 use crate::hist::LogHistogram;
 
-/// A timed region of the search. Phases never nest in the engine, and
-/// start/end always pair up within one search.
+/// A timed region of the search. A phase never nests inside itself
+/// (compaction runs inside database reduction), and start/end always
+/// pair up within one search.
 ///
 /// The first five phases belong to the search engine (`qbf-core`); the
 /// last two are emitted by the expansion engine (`qbf-expand`) — one
@@ -69,17 +67,10 @@ impl Phase {
         }
     }
 
+    /// Position in [`Self::ALL`] (declaration order).
     #[inline]
     fn index(self) -> usize {
-        match self {
-            Phase::Propagate => 0,
-            Phase::ConflictAnalysis => 1,
-            Phase::SolutionAnalysis => 2,
-            Phase::ReduceDb => 3,
-            Phase::Compaction => 4,
-            Phase::SatSolve => 5,
-            Phase::Refine => 6,
-        }
+        self as usize
     }
 }
 
@@ -116,66 +107,15 @@ impl EngineGauge {
         }
     }
 
+    /// Position in [`Self::ALL`] (declaration order).
     #[inline]
     fn index(self) -> usize {
-        match self {
-            EngineGauge::ArenaBytes => 0,
-            EngineGauge::LearnedConstraints => 1,
-            EngineGauge::TrailDepth => 2,
-            EngineGauge::AbstractionConjuncts => 3,
-        }
+        self as usize
     }
 }
 
-/// Receiver for engine instrumentation events. All methods default to
-/// empty inline bodies; `ENABLED` lets the engine skip even the argument
-/// computation for gauge samples when the sink is a no-op.
-pub trait MetricsSink {
-    /// `false` compiles every hook site out of the engine.
-    const ENABLED: bool;
-
-    /// The engine enters `phase`.
-    #[inline]
-    fn phase_start(&mut self, _phase: Phase) {}
-
-    /// The engine leaves `phase` (always pairs with the last start).
-    #[inline]
-    fn phase_end(&mut self, _phase: Phase) {}
-
-    /// A resource gauge observed at a decision boundary.
-    #[inline]
-    fn sample(&mut self, _gauge: EngineGauge, _value: u64) {}
-}
-
-/// The default sink: compiles to nothing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopMetrics;
-
-impl MetricsSink for NoopMetrics {
-    const ENABLED: bool = false;
-}
-
-impl<M: MetricsSink> MetricsSink for &mut M {
-    const ENABLED: bool = true;
-
-    #[inline]
-    fn phase_start(&mut self, phase: Phase) {
-        (**self).phase_start(phase)
-    }
-
-    #[inline]
-    fn phase_end(&mut self, phase: Phase) {
-        (**self).phase_end(phase)
-    }
-
-    #[inline]
-    fn sample(&mut self, gauge: EngineGauge, value: u64) {
-        (**self).sample(gauge, value)
-    }
-}
-
-/// The live sink: per-phase duration histograms (nanoseconds, from its
-/// own [`Clock`]) and last/peak tracking per gauge.
+/// The live recorder: per-phase duration histograms (nanoseconds, from
+/// its own [`Clock`]) and last/peak tracking per gauge.
 #[derive(Debug)]
 pub struct EngineMetrics<C: Clock> {
     clock: C,
@@ -186,7 +126,7 @@ pub struct EngineMetrics<C: Clock> {
 }
 
 impl<C: Clock> EngineMetrics<C> {
-    /// A sink timing against `clock`.
+    /// A recorder timing against `clock`.
     pub fn new(clock: C) -> Self {
         EngineMetrics {
             clock,
@@ -195,6 +135,28 @@ impl<C: Clock> EngineMetrics<C> {
             last: [0; EngineGauge::ALL.len()],
             peak: [0; EngineGauge::ALL.len()],
         }
+    }
+
+    /// The engine enters `phase`.
+    #[inline]
+    pub fn phase_start(&mut self, phase: Phase) {
+        self.open[phase.index()] = self.clock.now_ns();
+    }
+
+    /// The engine leaves `phase` (always pairs with the last start).
+    #[inline]
+    pub fn phase_end(&mut self, phase: Phase) {
+        let now = self.clock.now_ns();
+        let dur = now.saturating_sub(self.open[phase.index()]);
+        self.durations[phase.index()].record(dur);
+    }
+
+    /// A resource gauge observed by the engine.
+    #[inline]
+    pub fn sample(&mut self, gauge: EngineGauge, value: u64) {
+        let i = gauge.index();
+        self.last[i] = value;
+        self.peak[i] = self.peak[i].max(value);
     }
 
     /// Duration histogram (ns) for `phase`.
@@ -243,41 +205,18 @@ impl<C: Clock> EngineMetrics<C> {
     }
 }
 
-impl<C: Clock> MetricsSink for EngineMetrics<C> {
-    const ENABLED: bool = true;
-
-    #[inline]
-    fn phase_start(&mut self, phase: Phase) {
-        self.open[phase.index()] = self.clock.now_ns();
-    }
-
-    #[inline]
-    fn phase_end(&mut self, phase: Phase) {
-        let now = self.clock.now_ns();
-        let dur = now.saturating_sub(self.open[phase.index()]);
-        self.durations[phase.index()].record(dur);
-    }
-
-    #[inline]
-    fn sample(&mut self, gauge: EngineGauge, value: u64) {
-        let i = gauge.index();
-        self.last[i] = value;
-        self.peak[i] = self.peak[i].max(value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
 
     #[test]
-    fn noop_is_disabled_and_forwarding_is_enabled() {
-        // Compile-time contract, pinned in const blocks so a flipped
-        // ENABLED fails the build, not just the test.
-        const { assert!(!NoopMetrics::ENABLED) };
-        const { assert!(<&mut NoopMetrics as MetricsSink>::ENABLED) };
-        const { assert!(<EngineMetrics<ManualClock> as MetricsSink>::ENABLED) };
+    fn index_is_the_position_in_all() {
+        assert!(Phase::ALL.iter().enumerate().all(|(i, p)| p.index() == i));
+        assert!(EngineGauge::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, g)| g.index() == i));
     }
 
     #[test]
@@ -320,16 +259,5 @@ mod tests {
         assert_eq!(run(), run());
         assert!(run().contains("\"phase_propagate_ns\":{\"count\":4"));
         assert!(run().contains("\"gauge_arena_bytes\":1048576"));
-    }
-
-    #[test]
-    fn forwarding_impl_reaches_the_underlying_sink() {
-        fn drive<M: MetricsSink>(mut sink: M) {
-            sink.phase_start(Phase::Compaction);
-            sink.phase_end(Phase::Compaction);
-        }
-        let mut m = EngineMetrics::new(ManualClock::new(1));
-        drive(&mut m);
-        assert_eq!(m.phase_hist(Phase::Compaction).count(), 1);
     }
 }

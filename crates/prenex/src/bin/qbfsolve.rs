@@ -58,11 +58,13 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use qbf_core::metrics::{EngineGauge, EngineMetrics, Phase, WallClock};
-use qbf_core::observe::{JsonlTrace, MultiObserver, NoopObserver, Profiler, Progress, TreeTrace};
+use qbf_core::observe::{
+    JsonlTrace, MultiObserver, NoopObserver, Profiler, Progress, SearchObserver, TreeTrace,
+};
 use qbf_core::portfolio::{self, PortfolioOptions};
-use qbf_core::proof::{NoProof, ProofLog};
+use qbf_core::proof::ProofLog;
 use qbf_core::recursive::{self, RecursiveConfig};
-use qbf_core::solver::{Solver, SolverConfig};
+use qbf_core::solver::{Outcome, Solver, SolverConfig};
 use qbf_core::{io, Qbf};
 use qbf_expand::{DepScheme, ExpandConfig, ExpandSolver};
 use qbf_prenex::portfolio::{expand_workers, roster};
@@ -287,15 +289,31 @@ fn parse_qbf(text: &str) -> Result<Qbf, String> {
     }
 }
 
-/// Runs the selected solver, reporting events to `multi` (an empty
-/// fan-out takes the `NoopObserver` fast path), logging a certificate
-/// into `proof` when requested, and printing `--stats`.
-fn run(
+/// Runs the QDPLL with `observer`, logging a certificate into `proof`
+/// when requested.
+fn search<O: SearchObserver>(
+    qbf: &Qbf,
+    config: SolverConfig,
+    observer: O,
+    proof: Option<&mut ProofLog>,
+) -> Outcome {
+    match proof {
+        Some(log) => Solver::with_parts(qbf, config, observer, log).solve(),
+        None => Solver::with_observer(qbf, config, observer).solve(),
+    }
+}
+
+/// Runs the selected solver, reporting events to `multi` and phase
+/// timings to `metrics`, logging a certificate into `proof` when
+/// requested, and printing `--stats`. With no observer at all the
+/// search takes the `NoopObserver` fast path; a lone metrics recorder is
+/// attached directly, so it stays free of dynamic dispatch.
+fn run<'o>(
     qbf: &Qbf,
     opts: &Options,
-    multi: MultiObserver<'_>,
+    mut multi: MultiObserver<'o>,
     proof: Option<&mut ProofLog>,
-    metrics: Option<&mut EngineMetrics<WallClock>>,
+    metrics: Option<&'o mut EngineMetrics<WallClock>>,
 ) -> Option<bool> {
     let observed = !multi.is_empty();
     if opts.use_recursive {
@@ -315,21 +333,15 @@ fn run(
         out.value
     } else {
         let config = opts.config.clone();
-        let out = match (observed, proof, metrics) {
-            (true, Some(log), Some(m)) => {
-                Solver::with_instruments(qbf, config, multi, log, m).solve()
+        let out = match (observed, metrics) {
+            (false, None) => search(qbf, config, NoopObserver, proof),
+            (false, Some(m)) => search(qbf, config, m, proof),
+            (true, m) => {
+                if let Some(m) = m {
+                    multi.push(m);
+                }
+                search(qbf, config, multi, proof)
             }
-            (false, Some(log), Some(m)) => {
-                Solver::with_instruments(qbf, config, NoopObserver, log, m).solve()
-            }
-            (true, None, Some(m)) => {
-                Solver::with_instruments(qbf, config, multi, NoProof, m).solve()
-            }
-            (false, None, Some(m)) => Solver::with_metrics(qbf, config, m).solve(),
-            (true, Some(log), None) => Solver::with_parts(qbf, config, multi, log).solve(),
-            (false, Some(log), None) => Solver::with_proof(qbf, config, log).solve(),
-            (true, None, None) => Solver::with_observer(qbf, config, multi).solve(),
-            (false, None, None) => Solver::new(qbf, config).solve(),
         };
         if opts.stats {
             for line in out.stats.to_string().lines() {
@@ -415,7 +427,7 @@ fn run_expand(qbf: &Qbf, opts: &Options) -> ExitCode {
     eprintln!("c engine expand, dependency scheme {scheme}");
     let out = if opts.metrics {
         let mut engine_metrics = EngineMetrics::new(WallClock::new());
-        let out = ExpandSolver::with_metrics(qbf, config, &mut engine_metrics).solve();
+        let out = ExpandSolver::with_observer(qbf, config, &mut engine_metrics).solve();
         render_metrics(&engine_metrics);
         out
     } else {

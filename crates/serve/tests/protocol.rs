@@ -54,6 +54,19 @@ fn malformed_json_reports_the_line_number() {
     // A non-object is equally malformed at the protocol level.
     let r = s.handle_line(8, "42").unwrap();
     assert!(r.starts_with("{\"ok\":false,\"line\":8,"), "got: {r}");
+    // Nesting far past the reader's depth cap is a structured error, not
+    // a stack overflow, and the session keeps answering.
+    let (open, close) = ("[".repeat(100_000), "]".repeat(100_000));
+    let r = s
+        .handle_line(9, &format!("{{\"cmd\":\"solve\",\"x\":{open}{close}}}"))
+        .unwrap();
+    assert_eq!(
+        r,
+        "{\"ok\":false,\"line\":9,\"error\":\"malformed JSON: \
+         nesting deeper than 128 levels at byte 146\"}"
+    );
+    let r = s.handle_line(10, "{\"cmd\":\"solve\"}").unwrap();
+    assert!(r.starts_with("{\"ok\":true,"), "got: {r}");
 }
 
 #[test]

@@ -19,9 +19,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use qbf_repro::core::metrics::{EngineMetrics, ManualClock};
-use qbf_repro::core::observe::SearchObserver;
+use qbf_repro::core::observe::{MultiObserver, SearchObserver};
 use qbf_repro::core::portfolio::{self, PortfolioOptions, ShareClass, Variant};
-use qbf_repro::core::proof::NoProof;
 use qbf_repro::core::solver::{HeuristicKind, Solver, SolverConfig};
 use qbf_repro::core::{Lit, Qbf};
 use qbf_repro::gen::{ncf, NcfParams};
@@ -84,8 +83,10 @@ fn stop_flag_observed_within_bounded_decisions() {
         k: K,
         seen: 0,
     };
-    let mut solver =
-        Solver::with_instruments(&qbf, config, &mut observer, NoProof, &mut metrics);
+    let mut both = MultiObserver::new();
+    both.push(&mut observer);
+    both.push(&mut metrics);
+    let mut solver = Solver::with_observer(&qbf, config, both);
     solver.set_stop_flag(Arc::clone(&stop));
     let out = solver.solve();
 
