@@ -172,6 +172,17 @@ git diff --quiet -- BENCH_qbf.json || {
     echo "ci.sh: committed BENCH_qbf.json was modified"; exit 1;
 }
 
+echo "==> repro table1 artifact gate (regenerated Table I matches the committed bytes)"
+# The check above only guards the committed file against being
+# overwritten. Here Table I is regenerated from the current source into
+# target/ and must be byte-identical to the committed BENCH_qbf.json:
+# every change that claims to keep verdicts and search Stats must keep
+# the paper's table reproducible.
+cargo run -q --release -p qbf-bench --bin repro -- --out target/table1-gate --jobs 2 table1
+cmp target/table1-gate/BENCH_qbf.json BENCH_qbf.json || {
+    echo "ci.sh: regenerated Table I differs from the committed BENCH_qbf.json"; exit 1;
+}
+
 echo "==> repro bench-incremental (incremental-vs-cold DIA gate)"
 # Solves DIA probe families through one incremental session and cold,
 # twice: verdicts must agree, the incremental totals must not exceed the

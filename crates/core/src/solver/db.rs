@@ -26,18 +26,12 @@
 //!
 //! Every constraint keeps its (up to two) movable watched literals at the
 //! front of its literal block (positions are maintained by swapping in
-//! place). Movable watches rest **only on literals of the relevant
-//! quantifier**: existential literals for clauses, universal literals for
-//! cubes — the QBF unit rule makes a clause's unit/conflict status a
-//! function of its existential literals (plus `≺`-blocking), so the
-//! classic two-watch argument applies to the existential subsequence
-//! alone.
-//!
-//! * **Clauses** progress towards unit/conflict only when literals become
-//!   *false*, so `watch_clause[m]` holds the clauses watching `m` and is
-//!   visited when `m` is falsified.
-//! * **Cubes** progress towards unit/solution only when literals become
-//!   *true*, so `watch_cube[m]` is visited when `m` is satisfied.
+//! place), and each kind has its own watcher lists, indexed by literal:
+//! `watch_clause[m]` is visited when `m` becomes *false*, `watch_cube[m]`
+//! when `m` becomes *true* — the assignment that moves a constraint of
+//! that kind towards its event. The same lists carry the **pinned unblock
+//! sentinels** (see [`Watcher`]): never moved, but remapped by compaction
+//! like any other watcher.
 //!
 //! Each watcher entry carries a cached **blocker** literal (some other
 //! literal of the constraint). When the blocker already satisfies a
@@ -45,19 +39,9 @@
 //! alone — no arena memory is touched. The engine counts these as
 //! `blocker_hits` next to `watcher_visits`.
 //!
-//! The same lists additionally carry **pinned unblock sentinels** (see
-//! [`Watcher`]): one per universal literal of a clause that `≺`-precedes
-//! some existential literal of that clause (dually for cubes). These are
-//! never moved — but they are *relocatable*: compaction remaps their refs
-//! like any other watcher. Their visit catches the Lemma 5 units that
-//! appear when a blocking outer universal is falsified.
-//!
-//! Watcher lists are **never undone on backtrack**: a movable watch may
-//! go stale (rest on a false literal for a clause, a true literal for a
-//! cube), but the engine's replacement discipline guarantees that the
-//! literal whose assignment completes a conflict, a unit or a fully-true
-//! cube is always watched at that moment — see the invariant note in
-//! `engine.rs`.
+//! Which literals may carry a movable watch or a sentinel, and why the
+//! lists need no undo on backtrack, is the watch invariant; `engine.rs`
+//! states it once for both kinds in its module docs.
 //!
 //! # Shadow counters (`debug-counters`)
 //!
@@ -78,6 +62,18 @@ use crate::var::Lit;
 pub(crate) enum Kind {
     Clause,
     Cube,
+}
+
+impl Kind {
+    /// The kind of the engine's search side `cube` (its `CUBE` parameter).
+    #[inline]
+    pub(crate) const fn of(cube: bool) -> Kind {
+        if cube {
+            Kind::Cube
+        } else {
+            Kind::Clause
+        }
+    }
 }
 
 /// Reference to a constraint: the header word offset into the arena of
@@ -130,11 +126,11 @@ impl ConstraintRef {
 /// satisfies a clause (falsifies a cube), the visit is resolved without
 /// touching the constraint's memory — counted by the `blocker_hits` stat.
 ///
-/// `pinned` entries are **unblock sentinels**: they sit on a universal
-/// literal that `≺`-blocks some existential of a clause (dually, an
-/// existential that blocks a universal of a cube) and are never moved —
-/// their falsification (satisfaction for cubes) is exactly the Lemma 5
-/// unblocking event, which must always trigger an examination.
+/// `pinned` entries are **unblock sentinels**: they sit on a literal of
+/// the other quantifier that `≺`-blocks some watched-quantifier literal
+/// of the constraint and are never moved — its assignment against the
+/// constraint is exactly the Lemma 5 unblocking event, which must always
+/// trigger an examination (see the engine's module docs).
 /// Packed to 8 bytes (two words) so watcher lists stay cache-dense: the
 /// pinned flag lives in bit 31 of the blocker word (literal codes use at
 /// most 31 bits, like [`ConstraintRef`] offsets).
@@ -522,18 +518,11 @@ impl Db {
     /// Adds a constraint and attaches `movable` watchers (0, 1 or 2) on
     /// the leading positions of `lits`.
     ///
-    /// The caller must order `lits` so that the watched prefix is legal:
-    /// **existential** literals first for clauses (universal first for
-    /// cubes) — movable watches only ever rest on literals of the
-    /// *relevant* quantifier, which is what keeps the classic
-    /// two-watched-literal argument sound under the QBF unit rule — and,
-    /// for learned constraints, within the relevant literals those that
-    /// will be unassigned *last* on backtracking first (unassigned
-    /// literals, then by descending trail position). `movable` is
-    /// `min(2, #relevant literals)`.
-    ///
-    /// Unblock sentinels (pinned watchers) are attached separately by the
-    /// engine, which knows the prefix order.
+    /// The caller orders `lits` so that the watched prefix is legal (the
+    /// engine's `attach` does this for every constraint it adds), and
+    /// `movable` is `min(2, #watched-quantifier literals)`. Unblock
+    /// sentinels (pinned watchers) are attached separately by the engine,
+    /// which knows the prefix order.
     ///
     /// `true_count`/`false_count` initialize the shadow counters; the
     /// non-shadow build keeps `true_count` live for original clauses only.
@@ -585,22 +574,23 @@ impl Db {
             self.learned_order.push(cref);
         }
         // Attach movable watchers: both ends of the watched pair, a single
-        // watcher for constraints with one relevant literal, or none for
-        // constraints with no relevant literal (those are decided by the
-        // engine at/before add time).
+        // watcher for constraints with one watched-quantifier literal, or
+        // none for constraints with no such literal (those are decided by
+        // the engine at/before add time).
         debug_assert!(movable <= 2 && movable <= lits.len());
         if movable == 2 {
-            self.watch_list(kind)[lits[0].code()].push(Watcher::new(cref, lits[1], false));
-            self.watch_list(kind)[lits[1].code()].push(Watcher::new(cref, lits[0], false));
+            self.watches_mut(kind)[lits[0].code()].push(Watcher::new(cref, lits[1], false));
+            self.watches_mut(kind)[lits[1].code()].push(Watcher::new(cref, lits[0], false));
         } else if movable == 1 {
             let blocker = if lits.len() >= 2 { lits[1] } else { lits[0] };
-            self.watch_list(kind)[lits[0].code()].push(Watcher::new(cref, blocker, false));
+            self.watches_mut(kind)[lits[0].code()].push(Watcher::new(cref, blocker, false));
         }
         cref
     }
 
+    /// The watcher lists of one kind, indexed by literal code.
     #[inline]
-    fn watch_list(&mut self, kind: Kind) -> &mut Vec<Vec<Watcher>> {
+    pub(crate) fn watches_mut(&mut self, kind: Kind) -> &mut Vec<Vec<Watcher>> {
         match kind {
             Kind::Clause => &mut self.watch_clause,
             Kind::Cube => &mut self.watch_cube,

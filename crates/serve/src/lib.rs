@@ -89,25 +89,9 @@ struct MetricIds {
     /// 1-based index of the last portfolio solve's winning worker
     /// (0 = no portfolio solve yet, or no worker finished).
     portfolio_winner: GaugeId,
-    /// Cumulative session counters mirroring the additive [`Stats`]
-    /// fields, in `SESSION_COUNTERS` order.
+    /// Cumulative session counters, in [`Stats::session_totals`] order.
     session: Vec<CounterId>,
 }
-
-/// The `Stats` counters mirrored into Prometheus session counters:
-/// `(field name, metric name, help)`. Additive fields only —
-/// `arena_bytes_peak` is a high-water mark and lives in a gauge.
-const SESSION_COUNTERS: [(&str, &str, &str); 9] = [
-    ("decisions", "qbf_session_decisions_total", "Branching decisions across all queries"),
-    ("propagations", "qbf_session_propagations_total", "Unit propagations across all queries"),
-    ("conflicts", "qbf_session_conflicts_total", "Conflicts across all queries"),
-    ("solutions", "qbf_session_solutions_total", "Solutions across all queries"),
-    ("learned_clauses", "qbf_session_learned_clauses_total", "Learned clauses across all queries"),
-    ("learned_cubes", "qbf_session_learned_cubes_total", "Learned cubes across all queries"),
-    ("backjumps", "qbf_session_backjumps_total", "Non-chronological backtracks across all queries"),
-    ("chrono_backtracks", "qbf_session_chrono_backtracks_total", "Chronological backtracks across all queries"),
-    ("forgotten", "qbf_session_forgotten_total", "Learned constraints dropped across all queries"),
-];
 
 /// A `qbfserve` session: one optional loaded instance, the last query's
 /// statistics and certificate, and the service metrics layer (cumulative
@@ -184,6 +168,33 @@ fn json_lit(v: &Json) -> Result<Lit, String> {
     Ok(Lit::from_dimacs(n as i64))
 }
 
+/// Reads an optional request field: `Ok(None)` when it is absent, its
+/// value when it has the expected type, and an error naming the field
+/// otherwise — an ill-typed value is never mistaken for an absent one.
+fn field<'j, T>(
+    request: &'j Json,
+    key: &str,
+    expected: &str,
+    get: impl Fn(&'j Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    request
+        .get(key)
+        .map(|v| get(v).ok_or_else(|| format!("`{key}` must be {expected}")))
+        .transpose()
+}
+
+fn bool_field(request: &Json, key: &str) -> Result<Option<bool>, String> {
+    field(request, key, "a boolean", Json::as_bool)
+}
+
+fn u64_field(request: &Json, key: &str) -> Result<Option<u64>, String> {
+    field(request, key, "a non-negative integer", Json::as_u64)
+}
+
+fn str_field<'j>(request: &'j Json, key: &str) -> Result<Option<&'j str>, String> {
+    field(request, key, "a string", Json::as_str)
+}
+
 impl Server {
     /// A fresh server with no loaded instance, timing queries against
     /// wall time.
@@ -220,9 +231,10 @@ impl Server {
                 "qbf_portfolio_winner",
                 "1-based winning worker index of the last portfolio solve (0 = none)",
             ),
-            session: SESSION_COUNTERS
+            session: Stats::default()
+                .session_totals()
                 .iter()
-                .map(|&(_, name, help)| registry.counter(name, help))
+                .map(|&(name, help, _)| registry.counter(name, help))
                 .collect(),
         };
         Server {
@@ -287,14 +299,8 @@ impl Server {
         self.registry.observe(self.ids.latency, elapsed_ns);
         self.registry.observe(self.ids.assignments, stats.assignments());
         self.registry.set_max(self.ids.arena_peak, stats.arena_bytes_peak);
-        let fields = stats.fields();
-        for (i, &(field, _, _)) in SESSION_COUNTERS.iter().enumerate() {
-            let value = fields
-                .iter()
-                .find(|(name, _)| *name == field)
-                .map(|&(_, v)| v)
-                .expect("SESSION_COUNTERS names are Stats fields");
-            self.registry.inc(self.ids.session[i], value);
+        for (&id, (_, _, value)) in self.ids.session.iter().zip(stats.session_totals()) {
+            self.registry.inc(id, value);
         }
         if self.snapshot_every > 0 && self.queries.is_multiple_of(self.snapshot_every) {
             let snap = format!("{{\"type\":\"snapshot\",\"snapshot\":{}}}", self.metrics_snapshot());
@@ -363,10 +369,7 @@ impl Server {
                 ))
             }
             "metrics" => {
-                let format = request
-                    .get("format")
-                    .and_then(Json::as_str)
-                    .unwrap_or("prometheus");
+                let format = str_field(&request, "format")?.unwrap_or("prometheus");
                 match format {
                     "prometheus" => Ok(format!(
                         "{{\"ok\":true,\"cmd\":\"metrics\",\"format\":\"prometheus\",\"body\":\"{}\"}}",
@@ -393,10 +396,7 @@ impl Server {
     }
 
     fn cmd_load(&mut self, request: &Json) -> Result<String, String> {
-        let text = match (
-            request.get("path").and_then(Json::as_str),
-            request.get("text").and_then(Json::as_str),
-        ) {
+        let text = match (str_field(request, "path")?, str_field(request, "text")?) {
             (Some(path), None) => {
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
             }
@@ -469,15 +469,9 @@ impl Server {
         if workers == 0 {
             return Err("`portfolio` must be at least 1".to_string());
         }
-        let share_len = request
-            .get("share_len")
-            .and_then(Json::as_u64)
-            .unwrap_or(4) as usize;
-        let deterministic = request
-            .get("deterministic")
-            .and_then(Json::as_bool)
-            .unwrap_or(true);
-        let epoch = request.get("epoch").and_then(Json::as_u64).unwrap_or(2048);
+        let share_len = u64_field(request, "share_len")?.unwrap_or(4) as usize;
+        let deterministic = bool_field(request, "deterministic")?.unwrap_or(true);
+        let epoch = u64_field(request, "epoch")?.unwrap_or(2048);
         if epoch == 0 {
             return Err("`epoch` must be at least 1".to_string());
         }
@@ -543,7 +537,7 @@ impl Server {
     /// dependencies; the server's `--budget` bounds SAT
     /// decisions+propagations.
     fn cmd_solve_expand(&mut self, request: &Json) -> Result<String, String> {
-        if request.get("proof").and_then(Json::as_bool).unwrap_or(false) {
+        if bool_field(request, "proof")?.unwrap_or(false) {
             return Err(
                 "expansion solve does not produce certificates (drop \"proof\":true)".to_string(),
             );
@@ -604,7 +598,7 @@ impl Server {
                 None => return Err("`engine` must be a string (`search` or `expand`)".to_string()),
             }
         }
-        let with_proof = request.get("proof").and_then(Json::as_bool).unwrap_or(false);
+        let with_proof = bool_field(request, "proof")?.unwrap_or(false);
         if let Some(workers) = request.get("portfolio") {
             let workers = workers
                 .as_u64()
@@ -654,14 +648,14 @@ impl Server {
     }
 
     fn cmd_proof(&mut self, request: &Json) -> Result<String, String> {
+        let path = str_field(request, "path")?;
+        let instance = str_field(request, "instance")?;
         let artifacts = self
             .last_proof
             .as_ref()
             .ok_or("no certificate for the last solve (use `solve` with \"proof\":true)")?
             .clone();
         let bytes = artifacts.certificate.len();
-        let path = request.get("path").and_then(Json::as_str);
-        let instance = request.get("instance").and_then(Json::as_str);
         if path.is_none() && instance.is_none() {
             return Ok(format!(
                 "{{\"ok\":true,\"cmd\":\"proof\",\"bytes\":{bytes},\"text\":\"{}\"}}",

@@ -169,6 +169,89 @@ fn bad_literals_and_bad_load_arguments_are_structured_errors() {
     assert!(r.starts_with("{\"ok\":true,\"cmd\":\"solve\",\"value\":0,"), "got: {r}");
 }
 
+/// A known field present with the wrong type is a structured error with
+/// its line number, never silently replaced by the field's default.
+#[test]
+fn ill_typed_fields_are_structured_errors() {
+    let mut s = loaded_server();
+    let r = s
+        .handle_line(1, "{\"cmd\":\"solve\",\"proof\":true}")
+        .unwrap();
+    assert!(r.contains("\"certificate\":true"), "got: {r}");
+    for (line, input, want) in [
+        (
+            2,
+            "{\"cmd\":\"solve\",\"portfolio\":2,\"epoch\":\"x\"}",
+            "`epoch` must be a non-negative integer",
+        ),
+        (
+            3,
+            "{\"cmd\":\"solve\",\"portfolio\":2,\"share_len\":-3}",
+            "`share_len` must be a non-negative integer",
+        ),
+        (
+            4,
+            "{\"cmd\":\"solve\",\"portfolio\":2,\"deterministic\":\"no\"}",
+            "`deterministic` must be a boolean",
+        ),
+        (
+            5,
+            "{\"cmd\":\"solve\",\"proof\":\"yes\"}",
+            "`proof` must be a boolean",
+        ),
+        (
+            6,
+            "{\"cmd\":\"solve\",\"engine\":\"expand\",\"proof\":1}",
+            "`proof` must be a boolean",
+        ),
+        (
+            7,
+            "{\"cmd\":\"metrics\",\"format\":7}",
+            "`format` must be a string",
+        ),
+        (
+            8,
+            "{\"cmd\":\"proof\",\"path\":7}",
+            "`path` must be a string",
+        ),
+        (
+            9,
+            "{\"cmd\":\"proof\",\"instance\":false}",
+            "`instance` must be a string",
+        ),
+        (
+            10,
+            "{\"cmd\":\"load\",\"path\":[]}",
+            "`path` must be a string",
+        ),
+        (
+            11,
+            "{\"cmd\":\"load\",\"text\":null}",
+            "`text` must be a string",
+        ),
+    ] {
+        let r = s.handle_line(line, input).unwrap();
+        assert_eq!(
+            r,
+            format!("{{\"ok\":false,\"line\":{line},\"error\":\"{want}\"}}"),
+            "input: {input}"
+        );
+    }
+    // None of them touched the session or the last certificate.
+    let r = s.handle_line(12, "{\"cmd\":\"proof\"}").unwrap();
+    assert!(
+        r.starts_with("{\"ok\":true,\"cmd\":\"proof\",\"bytes\":"),
+        "got: {r}"
+    );
+    let r = s
+        .handle_line(13, "{\"cmd\":\"solve\",\"proof\":false}")
+        .unwrap();
+    assert!(
+        r.starts_with("{\"ok\":true,\"cmd\":\"solve\",\"value\":0,"),
+        "got: {r}"
+    );
+}
+
 #[test]
 fn expand_engine_solves_and_bad_engine_fields_are_structured_errors() {
     let mut s = loaded_server();
