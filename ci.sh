@@ -15,6 +15,40 @@ echo "==> cargo test --workspace --features qbf-core/debug-counters"
 # watched-literal propagator (panics on any propagation divergence).
 cargo test -q --workspace --features qbf-core/debug-counters
 
+echo "==> search fingerprint under release code generation"
+# The pinned search, watch, certificate and hook digests must also hold in
+# the shipped optimisation profile, where the debug cross-checks (heap
+# pick against the scan, the watched-prefix invariant) are compiled out.
+cargo test -q --release --test search_fingerprint
+
+echo "==> long-input gate (one huge clause line is read, built and solved in linear time)"
+# A 1 M-literal existential clause, and a 200 000-literal clause over an
+# outer existential and an inner universal block. The duplicate-literal
+# check of the parser, the sentinel attach and the free-pair count of the
+# instance statistics must all stay linear: each run must print `s cnf 1`
+# and exit 10 well within the timeout.
+mkdir -p target/long-gate
+{
+    echo "p cnf 1000000 1"
+    printf 'e '; seq -s ' ' 1 1000000 | tr '\n' ' '; echo 0
+    seq -s ' ' 1 1000000 | tr '\n' ' '; echo 0
+} > target/long-gate/exists.qdimacs
+{
+    echo "p cnf 200000 1"
+    printf 'e '; seq -s ' ' 1 100000 | tr '\n' ' '; echo 0
+    printf 'a '; seq -s ' ' 100001 200000 | tr '\n' ' '; echo 0
+    seq -s ' ' 1 200000 | tr '\n' ' '; echo 0
+} > target/long-gate/mixed.qdimacs
+for f in exists mixed; do
+    status=0
+    timeout 10 ./target/release/qbfsolve --po target/long-gate/$f.qdimacs \
+        > target/long-gate/$f.out 2> /dev/null || status=$?
+    [ "$status" -eq 10 ] || { echo "ci.sh: qbfsolve --po on the long $f clause exited $status"; exit 1; }
+    grep -qx "s cnf 1" target/long-gate/$f.out || {
+        echo "ci.sh: qbfsolve --po on the long $f clause did not print s cnf 1"; exit 1;
+    }
+done
+
 echo "==> front-end bit-identity gate (preprocess + miniscope vs the reference)"
 # The incremental preprocessor and the union-find miniscoper must return
 # exactly what the replaced quadratic implementations (kept only inside

@@ -16,7 +16,7 @@ use crate::clause::Clause;
 use crate::matrix::Matrix;
 use crate::prefix::Prefix;
 use crate::qbf::Qbf;
-use crate::var::{Lit, Quantifier, Var};
+use crate::var::{Quantifier, Var};
 
 use super::ParseQbfError;
 
@@ -44,6 +44,7 @@ pub fn parse(input: &str) -> Result<Qbf, ParseQbfError> {
     let mut in_matrix = false;
     let mut bound: Vec<bool> = Vec::new();
     let mut last_prefix_line = 0usize;
+    let mut seen: Vec<bool> = Vec::new();
 
     for (lineno, raw) in input.lines().enumerate() {
         let lineno = lineno + 1;
@@ -130,37 +131,7 @@ pub fn parse(input: &str) -> Result<Qbf, ParseQbfError> {
         }
         // Clause line.
         in_matrix = true;
-        let mut lits = Vec::new();
-        let mut terminated = false;
-        for tok in line.split_whitespace() {
-            let n: i64 = tok
-                .parse()
-                .map_err(|_| ParseQbfError::new(lineno, format!("bad token `{tok}`")))?;
-            if n == 0 {
-                terminated = true;
-                break;
-            }
-            if n.unsigned_abs() as usize > nv {
-                return Err(ParseQbfError::new(
-                    lineno,
-                    format!("literal `{tok}` names an undeclared variable (1..={nv})"),
-                ));
-            }
-            let l = Lit::from_dimacs(n);
-            if lits.contains(&l) {
-                return Err(ParseQbfError::new(
-                    lineno,
-                    format!("duplicate literal `{tok}` in clause"),
-                ));
-            }
-            lits.push(l);
-        }
-        if !terminated {
-            return Err(ParseQbfError::new(lineno, "clause not 0-terminated"));
-        }
-        let clause = Clause::new(lits)
-            .map_err(|e| ParseQbfError::new(lineno, e.to_string()))?;
-        clauses.push(clause);
+        clauses.push(super::clause_line(line, lineno, nv, &mut seen)?);
     }
 
     let nv = num_vars.ok_or_else(|| ParseQbfError::new(input.lines().count(), "missing problem line"))?;
@@ -262,6 +233,25 @@ mod tests {
         assert!(parse("p cnf 1 1\n2 0\n").is_err()); // out of range
         let err = parse("p cnf 1 1\nxyz 0\n").unwrap_err();
         assert!(err.to_string().contains("bad token"));
+        // A 200 000-literal clause whose last literal repeats an earlier
+        // one: the duplicate check is linear in the line, and the error
+        // names the repeating token.
+        let n = 200_000;
+        let mut src = format!("p cnf {n} 1\ne");
+        for v in 1..=n {
+            src.push_str(&format!(" {v}"));
+        }
+        src.push_str(" 0\n");
+        for v in 1..=n {
+            src.push_str(&format!("-{v} "));
+        }
+        src.push_str("-77777 0\n");
+        let err = parse(&src).unwrap_err();
+        assert_eq!(err.line, 3, "{err}");
+        assert!(
+            err.to_string().contains("duplicate literal `-77777`"),
+            "{err}"
+        );
     }
 
     /// Every rejection names the 1-based line and quotes the offending

@@ -24,7 +24,7 @@ use crate::clause::Clause;
 use crate::matrix::Matrix;
 use crate::prefix::{BlockId, PrefixBuilder};
 use crate::qbf::Qbf;
-use crate::var::{Lit, Quantifier, Var};
+use crate::var::{Quantifier, Var};
 
 use super::ParseQbfError;
 
@@ -168,6 +168,7 @@ pub fn parse(input: &str) -> Result<Qbf, ParseQbfError> {
     let mut saw_prefix = false;
     let mut prefix_line = 0usize;
     let mut clauses: Vec<Clause> = Vec::new();
+    let mut seen: Vec<bool> = Vec::new();
 
     for (lineno, raw) in input.lines().enumerate() {
         let lineno = lineno + 1;
@@ -220,35 +221,7 @@ pub fn parse(input: &str) -> Result<Qbf, ParseQbfError> {
             continue;
         }
         // Clause line.
-        let mut lits = Vec::new();
-        let mut terminated = false;
-        for tok in line.split_whitespace() {
-            let n: i64 = tok
-                .parse()
-                .map_err(|_| ParseQbfError::new(lineno, format!("bad token `{tok}`")))?;
-            if n == 0 {
-                terminated = true;
-                break;
-            }
-            if n.unsigned_abs() as usize > nv {
-                return Err(ParseQbfError::new(
-                    lineno,
-                    format!("literal `{tok}` names an undeclared variable (1..={nv})"),
-                ));
-            }
-            let l = Lit::from_dimacs(n);
-            if lits.contains(&l) {
-                return Err(ParseQbfError::new(
-                    lineno,
-                    format!("duplicate literal `{tok}` in clause"),
-                ));
-            }
-            lits.push(l);
-        }
-        if !terminated {
-            return Err(ParseQbfError::new(lineno, "clause not 0-terminated"));
-        }
-        clauses.push(Clause::new(lits).map_err(|e| ParseQbfError::new(lineno, e.to_string()))?);
+        clauses.push(super::clause_line(line, lineno, nv, &mut seen)?);
     }
 
     let nv = num_vars
@@ -335,6 +308,25 @@ mod tests {
         assert_eq!(err.line, 2, "overflowing variable: {err}");
         assert!(
             err.to_string().contains("variable 18446744073709551617 out of range"),
+            "{err}"
+        );
+        // A 200 000-literal clause whose last literal repeats an earlier
+        // one: the duplicate check is linear in the line, and the error
+        // names the repeating token.
+        let n = 200_000;
+        let mut src = format!("p qtree {n} 1\nt (e");
+        for v in 1..=n {
+            src.push_str(&format!(" {v}"));
+        }
+        src.push_str(")\n");
+        for v in 1..=n {
+            src.push_str(&format!("{v} "));
+        }
+        src.push_str("123456 0\n");
+        let err = parse(&src).unwrap_err();
+        assert_eq!(err.line, 3, "{err}");
+        assert!(
+            err.to_string().contains("duplicate literal `123456`"),
             "{err}"
         );
     }

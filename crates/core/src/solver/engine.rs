@@ -64,6 +64,16 @@
 //!   constraint with fewer than two watched-quantifier literals just keeps
 //!   fewer movable watches (an original clause with none is conflicting at
 //!   the initial scan).
+//! * **The watched prefix.** `attach` stores a constraint's
+//!   watched-quantifier literals before all others, and the only two
+//!   swaps that reorder literals keep that order from position 2 on:
+//!   `0↔1`, and `1↔k` with `k` a watched-quantifier literal. So no
+//!   watched-quantifier literal ever follows a literal of the other
+//!   quantifier in the tail, and the replacement search stops at the first
+//!   such literal: past it, no literal could take the watch. It finds the
+//!   same replacement as a full scan, or none, and reads the few watched
+//!   literals of a TO good instead of its hundreds of existential ones.
+//!   Debug builds check the property where the search stops.
 //! * **Pinned unblock sentinels** cover the `≺`-blocked cases of
 //!   Lemma 5: each literal `b` of the other quantifier that precedes some
 //!   watched-quantifier literal `w` of the same constraint (`b ≺ w`)
@@ -164,25 +174,65 @@ impl Event {
     }
 }
 
-/// Registers pinned unblock sentinels for `cref` (see [`super::db`]): one
-/// permanent watcher per literal of the other quantifier (universal in a
-/// clause, existential in a cube) that `≺`-precedes some literal of the
-/// constraint's watched quantifier. Such literals are exactly the ones
-/// whose assignment against the constraint can *unblock* a Lemma 5 unit;
-/// the sentinel guarantees that event always triggers an examination. The
-/// blocker is one of the literals it blocks, enabling the settled fast
-/// path on visits.
-fn attach_unblock_sentinels(db: &mut Db, prefix: &Prefix, cref: ConstraintRef) {
-    let kind = cref.kind();
-    let watched = |l: Lit| prefix.is_existential(l.var()) != (kind == Kind::Cube);
-    let lits = db.lits(cref).to_vec();
-    for &b in lits.iter().filter(|&&b| !watched(b)) {
-        let blocked = lits
-            .iter()
-            .copied()
-            .find(|&w| watched(w) && prefix.precedes(b.var(), w.var()));
-        if let Some(w) = blocked {
-            db.watches_mut(kind)[b.code()].push(Watcher::new(cref, w, true));
+/// Scratch for the `≺`-blocking test inside one constraint: which literals
+/// of the other quantifier precede some literal of the watched quantifier
+/// (the literals reduction must keep and the ones that get unblock
+/// sentinels).
+///
+/// Between literals of opposite quantifiers, `b ≺ w` holds exactly when
+/// `b`'s block is a strict ancestor of `w`'s. So [`BlockClaims::claim`]
+/// lets each watched literal, in order, claim the strict ancestors of its
+/// block up to the first block already claimed (whose ancestors are
+/// claimed too), and `b` precedes a watched literal iff its own block is
+/// claimed — by the first watched literal it precedes. Linear in the
+/// constraint and the blocks claimed.
+#[derive(Debug)]
+struct BlockClaims {
+    /// Per prefix block: the watched literal that claimed it.
+    claim: Vec<Option<Lit>>,
+    /// The claimed blocks, for [`BlockClaims::clear`].
+    claimed: Vec<BlockId>,
+}
+
+impl BlockClaims {
+    fn new(prefix: &Prefix) -> Self {
+        BlockClaims {
+            claim: vec![None; prefix.num_blocks()],
+            claimed: Vec::new(),
+        }
+    }
+
+    /// Claims the strict-ancestor blocks of the watched-quantifier
+    /// literals of `lits` (existential for clauses, universal for cubes).
+    fn claim(&mut self, prefix: &Prefix, lits: &[Lit], cube: bool) {
+        for &w in lits {
+            if prefix.is_existential(w.var()) == cube {
+                continue;
+            }
+            let mut up = prefix
+                .block_of(w.var())
+                .and_then(|b| prefix.block_parent(b));
+            while let Some(a) = up {
+                if self.claim[a.index()].is_some() {
+                    break;
+                }
+                self.claim[a.index()] = Some(w);
+                self.claimed.push(a);
+                up = prefix.block_parent(a);
+            }
+        }
+    }
+
+    /// For a literal `b` of the other quantifier: the first claiming
+    /// literal that `b` precedes, if any.
+    fn blocked(&self, prefix: &Prefix, b: Lit) -> Option<Lit> {
+        prefix.block_of(b.var()).and_then(|a| self.claim[a.index()])
+    }
+
+    /// Releases every claim (the scratch is all-`None` between uses).
+    fn clear(&mut self) {
+        for a in self.claimed.drain(..) {
+            self.claim[a.index()] = None;
         }
     }
 }
@@ -237,6 +287,9 @@ pub struct Solver<'a, O: SearchObserver = NoopObserver, P: ProofSink = NoProof> 
     /// resolution loops and the implicant builder to answer
     /// `lits.contains(..)` in O(1). Always all-false between uses.
     lit_mark: Vec<bool>,
+    /// Scratch for the `≺`-blocking test of reduction and sentinel
+    /// attach; clear between uses.
+    claims: BlockClaims,
 
     /// Whether `run` already performed the initial Lemma 4/5 scan and
     /// pure seeding. Lets a portfolio driver call `solve_mut` repeatedly
@@ -347,6 +400,7 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
             conflicts_since_decay: 0,
             analysis_mark: 0,
             lit_mark: vec![false; 2 * n],
+            claims: BlockClaims::new(prefix),
             search_started: false,
             epoch_limit: None,
             stop: None,
@@ -643,7 +697,7 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
             self.pure_candidates.push(v);
         }
         // The variable is branchable again: re-enter it into its block's
-        // lazy decision heap (no-op for scan-based heuristics).
+        // decision heap (no-op for scan-based heuristics).
         self.brancher.on_unassign(v);
         #[cfg(feature = "debug-counters")]
         self.shadow_unassign(l);
@@ -800,10 +854,20 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
                 // watched-quantifier literal not set against the
                 // constraint restores the movable-watch invariant (see the
                 // module docs — watches must stay on that subsequence to
-                // survive backtracking).
+                // survive backtracking). The tail keeps the watched prefix
+                // property, so the search ends at the first literal of the
+                // other quantifier.
                 let mut found: Option<usize> = None;
-                for (k, &m) in self.db.lits(c).iter().enumerate().skip(2) {
-                    if self.is_watched::<CUBE>(m.var()) && !self.against::<CUBE>(m) {
+                let lits = self.db.lits(c);
+                for (k, &m) in lits.iter().enumerate().skip(2) {
+                    if !self.is_watched::<CUBE>(m.var()) {
+                        debug_assert!(
+                            lits[k..].iter().all(|x| !self.is_watched::<CUBE>(x.var())),
+                            "watched-quantifier literal after the watched prefix"
+                        );
+                        break;
+                    }
+                    if !self.against::<CUBE>(m) {
                         found = Some(k);
                         break;
                     }
@@ -993,7 +1057,7 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
 
     /// Picks and assigns a branching literal; `false` if none is available.
     ///
-    /// Scored heuristics pick incrementally from the per-block lazy heaps
+    /// Scored heuristics pick incrementally from the per-block heaps
     /// (no O(candidates) scan); `Random` keeps the scan path because its
     /// choice is positional in the candidate vector.
     fn decide(&mut self) -> bool {
@@ -1142,58 +1206,64 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
     /// existential pivots for clauses, term resolution on universal pivots
     /// for cubes — latest-assigned first, skipping steps that would
     /// produce a tautological or settled resolvent.
+    ///
+    /// The pivots are found by walking the trail backwards. Every
+    /// watched-quantifier literal of a reason is assigned before the
+    /// literal it propagates (`examine` and `unit_for` require it), so a
+    /// step only adds pivot candidates below the current trail position,
+    /// and a resolved or skipped pivot is never met again.
     fn resolve<const CUBE: bool>(&mut self, lits: &mut Vec<Lit>) {
         // `lit_mark` mirrors the content of `lits` throughout so the
         // membership tests below are O(1) instead of a scan per reason
-        // literal; it is left all-false on return.
+        // literal; it is left all-false on return. `pending` counts the
+        // members set against the constraint on the watched quantifier
+        // that the walk has not reached yet.
+        let mut pending = 0usize;
         for &l in lits.iter() {
             self.lit_mark[l.code()] = true;
+            if self.against::<CUBE>(l) && self.is_watched::<CUBE>(l.var()) {
+                pending += 1;
+            }
         }
-        let mut skipped: Vec<Lit> = Vec::new();
-        loop {
-            // Pick the resolvable pivot assigned latest on the trail.
-            let mut pivot: Option<(usize, Lit, ConstraintRef)> = None;
-            for &m in lits.iter() {
-                let v = m.var();
-                let pivotable = self.against::<CUBE>(m) && self.is_watched::<CUBE>(v);
-                if !pivotable || skipped.contains(&m) {
-                    continue;
-                }
-                let Reason::Constraint(r) = self.reason[v.index()] else {
-                    continue;
-                };
-                if r.kind() != Kind::of(CUBE) {
-                    continue;
-                }
-                let pos = self.trail_pos[v.index()] as usize;
-                if pivot.is_none_or(|(p, _, _)| pos > p) {
-                    pivot = Some((pos, m, r));
-                }
-            }
-            let Some((_, m, r)) = pivot else { break };
-            // Check the reason's side literals.
-            let reason_lits = self.db.lits(r);
-            let mut ok = true;
-            for &x in reason_lits {
-                if x == !m {
-                    continue;
-                }
-                if self.settles::<CUBE>(x) || self.lit_mark[(!x).code()] {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
-                skipped.push(m);
+        let mut i = self.trail.len();
+        while pending > 0 {
+            i -= 1;
+            // The working constraint holds ¬t in a clause, t in a cube.
+            let t = self.trail[i];
+            let m = if CUBE { t } else { !t };
+            let v = m.var();
+            if !self.lit_mark[m.code()] || !self.is_watched::<CUBE>(v) {
                 continue;
             }
-            lits.retain(|&y| y != m);
+            pending -= 1;
+            let Reason::Constraint(r) = self.reason[v.index()] else {
+                continue;
+            };
+            if r.kind() != Kind::of(CUBE) {
+                continue;
+            }
+            // Check the reason's side literals.
+            let ok = self
+                .db
+                .lits(r)
+                .iter()
+                .all(|&x| x == !m || !(self.settles::<CUBE>(x) || self.lit_mark[(!x).code()]));
+            if !ok {
+                continue;
+            }
+            // The pivot leaves `lits` at the end of the walk: dropping the
+            // unmarked entries then keeps the order that removing each
+            // pivot on the spot would.
             self.lit_mark[m.code()] = false;
             for k in 0..self.db.len(r) {
                 let x = self.db.lit(r, k);
                 if x != !m && !self.lit_mark[x.code()] {
                     self.lit_mark[x.code()] = true;
                     lits.push(x);
+                    if self.against::<CUBE>(x) && self.is_watched::<CUBE>(x.var()) {
+                        debug_assert!((self.trail_pos[x.var().index()] as usize) < i);
+                        pending += 1;
+                    }
                 }
             }
             // The step actually used `r`: the learned constraint inherits
@@ -1206,6 +1276,7 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
                 self.proof.chain_resolve(self.qbf.prefix(), r.token(), &rl, m);
             }
         }
+        lits.retain(|&l| self.lit_mark[l.code()]);
         for &l in lits.iter() {
             self.lit_mark[l.code()] = false;
         }
@@ -1214,16 +1285,13 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
     /// Lemma 3 and its dual: drops every literal of the other quantifier
     /// that precedes no watched-quantifier literal of the constraint
     /// (universal reduction of a clause, existential reduction of a cube).
-    fn reduce<const CUBE: bool>(&self, lits: &mut Vec<Lit>) {
-        let anchors: Vec<Var> = lits
-            .iter()
-            .map(|l| l.var())
-            .filter(|&v| self.is_watched::<CUBE>(v))
-            .collect();
+    fn reduce<const CUBE: bool>(&mut self, lits: &mut Vec<Lit>) {
+        let prefix = self.qbf.prefix();
+        self.claims.claim(prefix, lits, CUBE);
         lits.retain(|&l| {
-            self.is_watched::<CUBE>(l.var())
-                || anchors.iter().any(|&a| self.prefix().precedes(l.var(), a))
+            self.is_watched::<CUBE>(l.var()) || self.claims.blocked(prefix, l).is_some()
         });
+        self.claims.clear();
     }
 
     fn learn(&mut self, lits: Vec<Lit>, kind: Kind) -> ConstraintRef {
@@ -1295,10 +1363,12 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
     /// generalizes the classic "watch the two highest decision levels"
     /// rule and keeps the constraint's unit status detectable after
     /// backtracking. Under the empty assignment (original clauses) the
-    /// order is just watched quantifier first, stable otherwise.
+    /// order is just watched quantifier first, stable otherwise. The
+    /// stored constraint thus starts with its *watched prefix*, which the
+    /// replacement search of `propagate_watches` relies on (module docs).
     fn attach(&mut self, mut lits: Vec<Lit>, kind: Kind, learned: bool) -> ConstraintRef {
         let cube = kind == Kind::Cube;
-        lits.sort_by_key(|l| {
+        lits.sort_by_cached_key(|l| {
             let unwatched = self.is_existential(l.var()) == cube;
             let pos_key = match self.value[l.var().index()] {
                 None => i64::MIN,
@@ -1324,11 +1394,38 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
         }
         let cref = self.db.add(lits, kind, learned, movable, t, f);
         self.stats.arena_bytes_peak = self.stats.arena_bytes_peak.max(self.db.bytes_peak as u64);
-        attach_unblock_sentinels(&mut self.db, self.qbf.prefix(), cref);
+        self.attach_unblock_sentinels(cref);
         if learned {
             self.db.set_activity(cref, self.stats.conflicts as f64);
         }
         cref
+    }
+
+    /// Registers pinned unblock sentinels for `cref` (see [`super::db`]):
+    /// one permanent watcher per literal of the other quantifier
+    /// (universal in a clause, existential in a cube) that `≺`-precedes
+    /// some literal of the constraint's watched quantifier. Such literals
+    /// are exactly the ones whose assignment against the constraint can
+    /// *unblock* a Lemma 5 unit; the sentinel guarantees that event always
+    /// triggers an examination. The blocker is the first watched literal,
+    /// in stored order, that the sentinel's literal precedes, enabling the
+    /// settled fast path on visits.
+    fn attach_unblock_sentinels(&mut self, cref: ConstraintRef) {
+        let kind = cref.kind();
+        let cube = kind == Kind::Cube;
+        let prefix = self.qbf.prefix();
+        let Solver { db, claims, .. } = self;
+        claims.claim(prefix, db.lits(cref), cube);
+        for k in 0..db.len(cref) {
+            let b = db.lit(cref, k);
+            if prefix.is_existential(b.var()) != cube {
+                continue; // a watched-quantifier literal
+            }
+            if let Some(w) = claims.blocked(prefix, b) {
+                db.watches_mut(kind)[b.code()].push(Watcher::new(cref, w, true));
+            }
+        }
+        claims.clear();
     }
 
     /// Unwinds the decision stack guided by a learned constraint of the
@@ -1934,6 +2031,7 @@ impl<'a, O: SearchObserver> Solver<'a, O> {
             conflicts_since_decay: s.conflicts_since_decay,
             analysis_mark: s.analysis_mark,
             lit_mark: s.lit_mark,
+            claims: BlockClaims::new(qbf.prefix()),
             // Portfolio hooks never persist across a session detach: a
             // re-attached view is a fresh query.
             search_started: false,
@@ -2201,6 +2299,102 @@ mod tests {
                     solve_with(&q, config.clone()),
                     Some(expected),
                     "seed {seed}: mismatch with {config:?}"
+                );
+            }
+        }
+    }
+
+    /// The sentinel set by its quadratic definition, the reference for
+    /// `attach_unblock_sentinels`: for each literal of the other
+    /// quantifier, the first watched literal (stored order) it precedes.
+    fn reference_unblock_sentinels(db: &mut Db, prefix: &Prefix, cref: ConstraintRef) {
+        let kind = cref.kind();
+        let watched = |l: Lit| prefix.is_existential(l.var()) != (kind == Kind::Cube);
+        let lits = db.lits(cref).to_vec();
+        for &b in lits.iter().filter(|&&b| !watched(b)) {
+            let blocked = lits
+                .iter()
+                .copied()
+                .find(|&w| watched(w) && prefix.precedes(b.var(), w.var()));
+            if let Some(w) = blocked {
+                db.watches_mut(kind)[b.code()].push(Watcher::new(cref, w, true));
+            }
+        }
+    }
+
+    fn entries(lists: &[Vec<Watcher>]) -> Vec<Vec<(ConstraintRef, Lit, bool)>> {
+        lists
+            .iter()
+            .map(|l| {
+                l.iter()
+                    .map(|w| (w.cref, w.blocker(), w.pinned()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn linear_sentinels_match_the_reference() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for seed in 0..150u64 {
+            let forest = random_qbf(seed, 2 + (seed % 23) as usize, 6);
+            let p = forest.prefix();
+            let chain: Vec<_> = p
+                .blocks_dfs()
+                .map(|b| (p.block_quant(b), p.block_vars(b).to_vec()))
+                .collect();
+            let prenexed = Qbf::new(
+                Prefix::prenex(p.num_vars(), chain).unwrap(),
+                forest.matrix().clone(),
+            )
+            .unwrap();
+            for q in [&forest, &prenexed] {
+                let n = q.num_vars();
+                let mut solver = Solver::new(q, SolverConfig::default());
+                // Constraints over random variable sets spanning the whole
+                // forest, in random order and polarity, of both kinds.
+                for _ in 0..8 {
+                    let mut vars: Vec<usize> = (0..n).filter(|_| next(3) > 0).collect();
+                    for i in (1..vars.len()).rev() {
+                        vars.swap(i, next(i + 1));
+                    }
+                    let lits: Vec<Lit> = vars
+                        .iter()
+                        .map(|&v| Var::new(v).lit(next(2) == 0))
+                        .collect();
+                    solver.attach(lits.clone(), Kind::Clause, true);
+                    solver.attach(lits, Kind::Cube, true);
+                }
+                // Replay the stored constraints into a fresh database,
+                // attaching sentinels with the reference routine.
+                let mut reference = Db::new(n);
+                for c in solver.db.all_refs() {
+                    let lits = solver.db.lits(c).to_vec();
+                    let cube = c.kind() == Kind::Cube;
+                    let movable = lits
+                        .iter()
+                        .take(2)
+                        .filter(|l| q.prefix().is_existential(l.var()) != cube)
+                        .count();
+                    let r = reference.add(lits, c.kind(), solver.db.is_learned(c), movable, 0, 0);
+                    assert_eq!(r, c);
+                    reference_unblock_sentinels(&mut reference, q.prefix(), r);
+                }
+                assert_eq!(
+                    entries(&solver.db.watch_clause),
+                    entries(&reference.watch_clause),
+                    "seed {seed}: clause watchers on {q}"
+                );
+                assert_eq!(
+                    entries(&solver.db.watch_cube),
+                    entries(&reference.watch_cube),
+                    "seed {seed}: cube watchers on {q}"
                 );
             }
         }

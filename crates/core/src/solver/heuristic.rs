@@ -3,8 +3,15 @@
 //! All heuristics only *rank* candidates; the engine guarantees that every
 //! candidate is *available* (all `≺`-predecessors assigned), so any ranking
 //! is sound.
-
-use std::collections::BinaryHeap;
+//!
+//! The scored heuristics decide through one indexed max-heap of variables
+//! per quantifier block (MiniSat's order heap, split by block). A variable
+//! has one slot, and every score change re-sifts it on the spot — a bump
+//! up, a forget down, a decay rebuilds every heap — so the heaps hold no
+//! stale entries and a decision never drains any. The heap order is the
+//! scan order of [`Brancher::pick`] restricted to one block, so the
+//! incremental pick returns exactly the literal the scan would; debug
+//! builds of the engine check that at every decision.
 
 use crate::prefix::{BlockId, Prefix};
 use crate::var::{Lit, Var};
@@ -27,40 +34,11 @@ pub enum HeuristicKind {
     Random(u64),
 }
 
-/// A lazy-heap entry: a variable with the score it had when pushed.
-///
-/// Stale entries (the score has changed, or the variable got assigned)
-/// stay in the heap and are discarded or re-keyed when they surface at
-/// the top, MiniSat-style. Ordering is total: higher key first, ties
-/// broken towards the *smaller* variable so that heap order agrees with
-/// the scan comparators of [`Brancher::pick`].
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    key: f64,
-    var: Var,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key
-            .total_cmp(&other.key)
-            .then_with(|| other.var.cmp(&self.var))
-    }
-}
+/// Marks a variable absent from its block's heap in `Brancher::heap_pos`.
+const ABSENT: u32 = u32::MAX;
 
 /// Heuristic state: per-literal scores plus (for the tree variant) cached
-/// per-block subtree maxima, and per-block lazy max-heaps so that
+/// per-block subtree maxima, and per-block indexed max-heaps so that
 /// decisions don't re-scan every candidate.
 #[derive(Debug)]
 pub(crate) struct Brancher {
@@ -79,10 +57,17 @@ pub(crate) struct Brancher {
     /// Block of each variable, cached so score bumps can be routed to the
     /// right heap without a prefix in hand.
     var_block: Vec<Option<BlockId>>,
-    /// One lazy max-heap of [`HeapEntry`] per quantifier block. Entries
-    /// carry the key they were pushed with; [`Brancher::best_in_block`]
-    /// drops assigned tops and re-keys stale ones.
-    heaps: Vec<BinaryHeap<HeapEntry>>,
+    /// One indexed binary max-heap of variables per quantifier block,
+    /// ordered by [`Brancher::above`]: current key descending, ties
+    /// towards the *smaller* variable, so that heap order agrees with the
+    /// scan comparators of [`Brancher::pick`]. Every score change re-sifts
+    /// the variable at once, so the heaps hold no stale keys. Assigned
+    /// variables stay in place until they surface at the top, where
+    /// [`Brancher::best_in_block`] pops them; [`Brancher::on_unassign`]
+    /// puts them back.
+    heaps: Vec<Vec<Var>>,
+    /// Position of each variable in its block's heap, or [`ABSENT`].
+    heap_pos: Vec<u32>,
     rng: u64,
 }
 
@@ -100,8 +85,9 @@ impl Brancher {
             subtree_max: vec![0.0; prefix.num_blocks()],
             dirty: true,
             dfs_order: prefix.blocks_dfs().collect(),
+            heap_pos: vec![ABSENT; var_block.len()],
             var_block,
-            heaps: vec![BinaryHeap::new(); prefix.num_blocks()],
+            heaps: vec![Vec::new(); prefix.num_blocks()],
             rng,
         };
         if brancher.uses_heaps() {
@@ -112,7 +98,7 @@ impl Brancher {
         brancher
     }
 
-    /// Whether this heuristic branches through the per-block lazy heaps
+    /// Whether this heuristic branches through the per-block heaps
     /// ([`Brancher::pick_incremental`]). `Random` keeps the candidate
     /// scan: its draw depends on the candidate *list*, not on scores.
     pub(crate) fn uses_heaps(&self) -> bool {
@@ -120,62 +106,143 @@ impl Brancher {
     }
 
     /// The heap key of `v` under the current scores. `Naive` ranks by
-    /// variable id alone, so its key is constantly zero (entries are never
-    /// stale and the heap tie-break yields the smallest variable).
+    /// variable id alone, so its key is constantly zero (the heap
+    /// tie-break yields the smallest variable).
     fn key_of(&self, v: Var) -> f64 {
         match self.kind {
             HeuristicKind::Naive => 0.0,
-            _ => self.score[v.positive().code()].max(self.score[v.negative().code()]),
+            _ => self.var_score(v),
         }
     }
 
-    /// Pushes a fresh entry for `v` into its block's heap.
+    /// Heap order: whether `a` ranks above `b` (higher key, then the
+    /// smaller variable).
+    fn above(&self, a: Var, b: Var) -> bool {
+        self.key_of(a)
+            .total_cmp(&self.key_of(b))
+            .then_with(|| b.cmp(&a))
+            .is_gt()
+    }
+
+    /// Moves the variable at position `i` of heap `h` up to its place.
+    fn sift_up(&mut self, h: usize, mut i: usize) {
+        let v = self.heaps[h][i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heaps[h][parent];
+            if !self.above(v, p) {
+                break;
+            }
+            self.heaps[h][i] = p;
+            self.heap_pos[p.index()] = i as u32;
+            i = parent;
+        }
+        self.heaps[h][i] = v;
+        self.heap_pos[v.index()] = i as u32;
+    }
+
+    /// Moves the variable at position `i` of heap `h` down to its place.
+    fn sift_down(&mut self, h: usize, mut i: usize) {
+        let v = self.heaps[h][i];
+        let n = self.heaps[h].len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.above(self.heaps[h][right], self.heaps[h][left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.heaps[h][child];
+            if !self.above(c, v) {
+                break;
+            }
+            self.heaps[h][i] = c;
+            self.heap_pos[c.index()] = i as u32;
+            i = child;
+        }
+        self.heaps[h][i] = v;
+        self.heap_pos[v.index()] = i as u32;
+    }
+
+    /// Inserts `v` into its block's heap (bound variables only).
     fn heap_insert(&mut self, v: Var) {
         if let Some(b) = self.var_block[v.index()] {
-            let key = self.key_of(v);
-            self.heaps[b.index()].push(HeapEntry { key, var: v });
+            let h = b.index();
+            self.heaps[h].push(v);
+            self.sift_up(h, self.heaps[h].len() - 1);
+        }
+    }
+
+    /// Restores `v`'s heap position after its key changed: up when it
+    /// grew, down when it shrank. No-op for variables not in a heap.
+    fn rekey(&mut self, v: Var, grew: bool) {
+        let pos = self.heap_pos[v.index()];
+        if pos == ABSENT {
+            return;
+        }
+        let h = self.var_block[v.index()]
+            .expect("heap members are bound")
+            .index();
+        if grew {
+            self.sift_up(h, pos as usize);
+        } else {
+            self.sift_down(h, pos as usize);
         }
     }
 
     /// The variable got unassigned and is branchable again: re-enter it
-    /// into its block's heap (stale duplicates are fine — they are lazily
-    /// discarded).
+    /// into its block's heap unless it never left.
     pub(crate) fn on_unassign(&mut self, v: Var) {
-        if self.uses_heaps() {
+        if self.uses_heaps() && self.heap_pos[v.index()] == ABSENT {
             self.heap_insert(v);
         }
     }
 
     /// Bumps the literals of a freshly learned constraint (the paper
     /// increments the occurrence counters when a constraint is added).
+    /// Each bumped variable is sifted up before the next bump, so every
+    /// sift starts from a valid heap.
     pub(crate) fn on_learn(&mut self, lits: &[Lit]) {
+        let heaps = self.uses_heaps();
         for &l in lits {
             self.score[l.code()] += 1.0;
-        }
-        if self.uses_heaps() {
-            // Re-key the bumped variables: the entries already in the heap
-            // now under-estimate their scores, so without a fresh entry a
-            // bumped variable could surface too late.
-            for &l in lits {
-                self.heap_insert(l.var());
+            if heaps {
+                self.rekey(l.var(), true);
             }
         }
         self.dirty = true;
     }
 
-    /// Decrements scores when a learned constraint is forgotten.
+    /// Decrements scores when a learned constraint is forgotten, sifting
+    /// each variable down before the next decrement.
     pub(crate) fn on_forget(&mut self, lits: &[Lit]) {
+        let heaps = self.uses_heaps();
         for &l in lits {
             self.score[l.code()] = (self.score[l.code()] - 1.0).max(0.0);
+            if heaps {
+                self.rekey(l.var(), false);
+            }
         }
         self.dirty = true;
     }
 
     /// Periodic decay: the paper halves the old score when the priority
-    /// queue is rearranged.
+    /// queue is rearranged. Halving keeps the order of most keys, but not
+    /// of keys that round, so every heap is rebuilt (`O(vars)`).
     pub(crate) fn decay(&mut self) {
         for s in &mut self.score {
             *s /= 2.0;
+        }
+        if self.uses_heaps() {
+            for h in 0..self.heaps.len() {
+                for i in (0..self.heaps[h].len() / 2).rev() {
+                    self.sift_down(h, i);
+                }
+            }
         }
         self.dirty = true;
     }
@@ -266,33 +333,23 @@ impl Brancher {
     }
 
     /// The best unassigned variable of block `b` with its current key, or
-    /// `None` if the block has no live entry. Lazily repairs the heap top:
-    /// assigned variables are dropped (they re-enter via
-    /// [`Brancher::on_unassign`]) and entries whose key went stale are
-    /// re-pushed with the current key. Every variable's *current* key is
-    /// never above its best stored key (scores only drop between pushes;
-    /// bumps push a fresh entry), so a top whose stored key is current is
-    /// the true block maximum.
+    /// `None` if the block has no unassigned variable. Assigned variables
+    /// that surface at the top are popped (they re-enter via
+    /// [`Brancher::on_unassign`]); every unassigned variable of the block
+    /// is in the heap, so the first unassigned top is the block maximum.
     fn best_in_block(&mut self, b: BlockId, value: &[Option<bool>]) -> Option<(f64, Var)> {
-        let kind = self.kind;
-        let score = &self.score;
-        let key_of = |v: Var| match kind {
-            HeuristicKind::Naive => 0.0,
-            _ => score[v.positive().code()].max(score[v.negative().code()]),
-        };
-        let heap = &mut self.heaps[b.index()];
+        let h = b.index();
         loop {
-            let &top = heap.peek()?;
-            if value[top.var.index()].is_some() {
-                heap.pop();
-                continue;
+            let &top = self.heaps[h].first()?;
+            if value[top.index()].is_none() {
+                return Some((self.key_of(top), top));
             }
-            let cur = key_of(top.var);
-            if top.key == cur {
-                return Some((cur, top.var));
+            self.heap_pos[top.index()] = ABSENT;
+            let last = self.heaps[h].pop().expect("non-empty heap");
+            if !self.heaps[h].is_empty() {
+                self.heaps[h][0] = last;
+                self.sift_down(h, 0);
             }
-            heap.pop();
-            heap.push(HeapEntry { key: cur, var: top.var });
         }
     }
 
@@ -328,7 +385,7 @@ impl Brancher {
     }
 
     /// Incremental decision: the best candidate across the *available*
-    /// blocks, found by folding each block's lazy-heap maximum instead of
+    /// blocks, found by folding each block's heap maximum instead of
     /// scanning every candidate variable. Returns `None` iff no block has
     /// an unassigned variable. Must only be called when
     /// [`Brancher::uses_heaps`] is `true`.
@@ -508,7 +565,7 @@ mod tests {
 
     #[test]
     fn incremental_pick_matches_scan() {
-        // The lazy-heap path must be decision-for-decision identical to
+        // The heap path must be decision-for-decision identical to
         // the candidate scan, across heuristics, bumps, decay and
         // partial assignments.
         let p = paper_prefix();
@@ -546,6 +603,104 @@ mod tests {
                 .filter(|x| value[x.index()].is_none())
                 .collect();
             assert_eq!(h.pick_incremental(&p, &blocks, &value), h.pick(&p, &scan_cands));
+        }
+    }
+
+    /// A random forest of `num_vars` variables in blocks of one to six.
+    fn random_prefix(next: &mut impl FnMut(usize) -> usize, num_vars: usize) -> Prefix {
+        use crate::prefix::PrefixBuilder;
+        let mut b = PrefixBuilder::new(num_vars);
+        let mut blocks = Vec::new();
+        let mut first = 0;
+        while first < num_vars {
+            let size = (1 + next(6)).min(num_vars - first);
+            let vars: Vec<Var> = (first..first + size).map(Var::new).collect();
+            first += size;
+            let quant = if next(2) == 0 { Exists } else { Forall };
+            let id = if blocks.is_empty() || next(4) == 0 {
+                b.add_root(quant, vars)
+            } else {
+                b.add_child(blocks[next(blocks.len())], quant, vars)
+            };
+            blocks.push(id.unwrap());
+        }
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn heaps_match_the_scan_under_random_operations() {
+        // Seeded random interleavings of every operation that touches the
+        // heaps — bumps, forgets, decay, assignments (whose variables stay
+        // in the heap until they surface at the top) and unassignments —
+        // with the heap pick checked against the scan after every step.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for round in 0..40 {
+            let n = 4 + next(28);
+            let p = random_prefix(&mut next, n);
+            for kind in [
+                HeuristicKind::Naive,
+                HeuristicKind::VsidsLevel,
+                HeuristicKind::VsidsTree,
+            ] {
+                let counts: Vec<f64> = (0..2 * n).map(|_| next(4) as f64).collect();
+                let mut h = Brancher::new(kind, &p, &counts);
+                let mut value: Vec<Option<bool>> = vec![None; n];
+                let mut trail: Vec<Var> = Vec::new();
+                let mut learned: Vec<Vec<Lit>> = Vec::new();
+                for step in 0..150 {
+                    match next(7) {
+                        0 | 1 => {
+                            let mut lits: Vec<Lit> = Vec::new();
+                            for i in 0..n {
+                                if next(3) == 0 {
+                                    lits.push(v(i).lit(next(2) == 0));
+                                }
+                            }
+                            h.on_learn(&lits);
+                            learned.push(lits);
+                        }
+                        2 if !learned.is_empty() => {
+                            let lits = learned.swap_remove(next(learned.len()));
+                            h.on_forget(&lits);
+                        }
+                        3 => h.decay(),
+                        4 | 5 => {
+                            let open: Vec<usize> = (0..n).filter(|&i| value[i].is_none()).collect();
+                            if !open.is_empty() {
+                                let i = open[next(open.len())];
+                                value[i] = Some(next(2) == 0);
+                                trail.push(v(i));
+                            }
+                        }
+                        _ => {
+                            let keep = next(trail.len() + 1);
+                            while trail.len() > keep {
+                                let x = trail.pop().unwrap();
+                                value[x.index()] = None;
+                                h.on_unassign(x);
+                            }
+                        }
+                    }
+                    let blocks = available_blocks(&p, &value);
+                    let scan_cands: Vec<Var> = blocks
+                        .iter()
+                        .flat_map(|&b| p.block_vars(b))
+                        .copied()
+                        .filter(|x| value[x.index()].is_none())
+                        .collect();
+                    assert_eq!(
+                        h.pick_incremental(&p, &blocks, &value),
+                        h.pick(&p, &scan_cands),
+                        "round {round}, {kind:?}, step {step}, prefix {p}"
+                    );
+                }
+            }
         }
     }
 

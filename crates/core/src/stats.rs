@@ -3,7 +3,9 @@
 
 use std::fmt;
 
+use crate::prefix::{BlockId, Prefix};
 use crate::qbf::Qbf;
+use crate::var::Quantifier;
 
 /// Structural metrics of a QBF instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,24 +72,8 @@ impl InstanceStats {
                 *widths.iter().max().expect("non-empty"),
             )
         };
-        // free (existential, universal) pairs
-        let e_vars: Vec<_> = prefix
-            .bound_vars()
-            .filter(|&v| prefix.is_existential(v))
-            .collect();
-        let a_vars: Vec<_> = prefix
-            .bound_vars()
-            .filter(|&v| prefix.is_universal(v))
-            .collect();
-        let total_pairs = e_vars.len() * a_vars.len();
-        let mut free = 0usize;
-        for &x in &e_vars {
-            for &y in &a_vars {
-                if !prefix.precedes(x, y) && !prefix.precedes(y, x) {
-                    free += 1;
-                }
-            }
-        }
+        let total_pairs = existentials * universals;
+        let free = free_pairs(prefix);
         InstanceStats {
             num_vars: qbf.num_vars(),
             existentials,
@@ -106,6 +92,42 @@ impl InstanceStats {
             },
         }
     }
+}
+
+/// The number of (existential, universal) variable pairs left
+/// `≺`-unordered. Between opposite quantifiers `≺` is exactly the
+/// strict-ancestor relation of their blocks (see [`Prefix::precedes`]), so
+/// the variables of an existential block are ordered against the
+/// universals of its ancestors and of its subtree, and free against all
+/// others. One pass down the forest sums the former, one pass up the
+/// latter: linear in the prefix.
+fn free_pairs(prefix: &Prefix) -> usize {
+    let univ = |b: BlockId| match prefix.block_quant(b) {
+        Quantifier::Forall => prefix.block_vars(b).len(),
+        Quantifier::Exists => 0,
+    };
+    let order: Vec<BlockId> = prefix.blocks_dfs().collect();
+    // Universals in the strict ancestors of each block (preorder sums).
+    let mut above = vec![0usize; prefix.num_blocks()];
+    for &b in &order {
+        if let Some(p) = prefix.block_parent(b) {
+            above[b.index()] = above[p.index()] + univ(p);
+        }
+    }
+    // Universals in the subtree of each block (post-order sums).
+    let mut below = vec![0usize; prefix.num_blocks()];
+    for &b in order.iter().rev() {
+        below[b.index()] += univ(b);
+        if let Some(p) = prefix.block_parent(b) {
+            below[p.index()] += below[b.index()];
+        }
+    }
+    let all: usize = order.iter().map(|&b| univ(b)).sum();
+    order
+        .iter()
+        .filter(|&&b| prefix.block_quant(b) == Quantifier::Exists)
+        .map(|&b| prefix.block_vars(b).len() * (all - above[b.index()] - below[b.index()]))
+        .sum()
 }
 
 impl fmt::Display for InstanceStats {
@@ -160,6 +182,37 @@ mod tests {
         let s = InstanceStats::of(&samples::exists_forall_xor());
         assert!(s.prenex);
         assert_eq!(s.free_pair_percent, 0.0);
+    }
+
+    /// The pairwise definition of the free-pair count.
+    fn free_pairs_pairwise(prefix: &Prefix) -> usize {
+        let vars: Vec<_> = prefix.bound_vars().collect();
+        let mut free = 0;
+        for &x in vars.iter().filter(|&&v| prefix.is_existential(v)) {
+            for &y in vars.iter().filter(|&&v| prefix.is_universal(v)) {
+                if !prefix.precedes(x, y) && !prefix.precedes(y, x) {
+                    free += 1;
+                }
+            }
+        }
+        free
+    }
+
+    #[test]
+    fn free_pairs_match_the_pairwise_count() {
+        for seed in 0..300u64 {
+            let q = samples::random_qbf(seed, 1 + (seed % 24) as usize, 4);
+            let p = q.prefix();
+            assert_eq!(free_pairs(p), free_pairs_pairwise(p), "seed {seed}: {p}");
+            // A prenexing: the blocks in DFS preorder, one chain.
+            let chain: Vec<_> = p
+                .blocks_dfs()
+                .map(|b| (p.block_quant(b), p.block_vars(b).to_vec()))
+                .collect();
+            let prenex = Prefix::prenex(p.num_vars(), chain).unwrap();
+            assert_eq!(free_pairs(&prenex), 0, "seed {seed}");
+            assert_eq!(free_pairs_pairwise(&prenex), 0, "seed {seed}");
+        }
     }
 
     #[test]

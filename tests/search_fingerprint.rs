@@ -25,10 +25,13 @@
 //! original clauses added to an incremental session between solves.
 //!
 //! A change that only reorganises the engine must leave all four
-//! digests unchanged. The pinned-cube-sentinel rework of the TO hot path (see
-//! ROADMAP) may move `WATCH_DIGEST` only: it changes how often watchers
-//! are visited, never what the search decides. Any other drift is a
-//! behaviour change and needs its `Stats` delta shown.
+//! digests unchanged. The trajectory-exact part of the TO hot-path work —
+//! the replacement search bounded by the watched prefix, the indexed
+//! decision heaps and the trail walk of conflict/solution analysis — moved
+//! none of them. The pinned-cube-sentinel rework still open (see ROADMAP)
+//! may move `WATCH_DIGEST` only: it changes how often watchers are
+//! visited, never what the search decides. Any other drift is a behaviour
+//! change and needs its `Stats` delta shown.
 //!
 //! With `--features qbf-core/debug-counters` the same runs are also
 //! shadow-verified against the eager counter discipline; the digests are
