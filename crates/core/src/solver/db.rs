@@ -226,18 +226,18 @@ impl ConstraintArena {
         self.words.len()
     }
 
-    /// Slides live constraints down over tombstoned ones. Returns the
-    /// old-offset → new-offset map (`u32::MAX` for deleted constraints)
-    /// and the number of words reclaimed.
-    fn compact(&mut self) -> (Vec<u32>, usize) {
-        let mut map = vec![u32::MAX; self.words.len()];
+    /// Slides live constraints down over tombstoned ones. Returns one
+    /// `(old, new)` header-offset pair per surviving constraint, in arena
+    /// order, and the number of words reclaimed.
+    fn compact(&mut self) -> (Vec<(u32, u32)>, usize) {
+        let mut map = Vec::new();
         let mut read = 0usize;
         let mut write = 0usize;
         while read < self.words.len() {
             let header = self.words[read];
             let total = HEADER_WORDS + (header & SIZE_MASK) as usize;
             if header & DELETED_BIT == 0 {
-                map[read] = write as u32;
+                map.push((read as u32, write as u32));
                 if write != read {
                     self.words.copy_within(read..read + total, write);
                 }
@@ -252,54 +252,57 @@ impl ConstraintArena {
 
     /// Walks the arena front to back, yielding header offsets of **all**
     /// constraints (including tombstoned ones) in creation order.
-    fn offsets(&self) -> ArenaOffsets<'_> {
-        ArenaOffsets {
-            arena: self,
-            offset: 0,
-        }
-    }
-}
-
-/// Iterator over the header offsets of a [`ConstraintArena`].
-struct ArenaOffsets<'a> {
-    arena: &'a ConstraintArena,
-    offset: usize,
-}
-
-impl Iterator for ArenaOffsets<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.offset >= self.arena.words.len() {
-            return None;
-        }
-        let o = self.offset;
-        self.offset += HEADER_WORDS + self.arena.size(o);
-        Some(o)
+    #[cfg(any(test, feature = "debug-counters"))]
+    fn offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        let header = move |o: usize| (o < self.words.len()).then_some(o);
+        std::iter::successors(header(0), move |&o| header(o + HEADER_WORDS + self.size(o)))
     }
 }
 
 /// Old-ref → new-ref translation produced by [`Db::compact`]; the engine
 /// uses it to relocate antecedent/reason refs and frame pseudo-reasons.
+///
+/// Per arena it holds one `(old, new)` header-offset pair for each
+/// surviving constraint, in arena order. Compaction never reorders
+/// constraints, so the old offsets are sorted and a lookup is a binary
+/// search. The map is sized by the live constraints, not by the arena
+/// words: a dense old-offset table would cost as much as the arena
+/// itself at the very moment compaction runs.
 pub(crate) struct RefMap {
-    clause: Vec<u32>,
-    cube: Vec<u32>,
+    clause: Vec<(u32, u32)>,
+    cube: Vec<(u32, u32)>,
     /// Bytes physically reclaimed across both arenas.
     pub(crate) reclaimed_bytes: usize,
 }
 
 impl RefMap {
+    fn table(&self, kind: Kind) -> &[(u32, u32)] {
+        match kind {
+            Kind::Clause => &self.clause,
+            Kind::Cube => &self.cube,
+        }
+    }
+
     /// New location of `r`, or `None` if the constraint was tombstoned
     /// and has been physically reclaimed.
     pub(crate) fn remap(&self, r: ConstraintRef) -> Option<ConstraintRef> {
-        let table = match r.kind() {
-            Kind::Clause => &self.clause,
-            Kind::Cube => &self.cube,
-        };
-        match table[r.offset()] {
-            u32::MAX => None,
-            new => Some(ConstraintRef::new(r.kind(), new as usize)),
-        }
+        let table = self.table(r.kind());
+        let old = r.offset() as u32;
+        let i = table.binary_search_by_key(&old, |&(o, _)| o).ok()?;
+        Some(ConstraintRef::new(r.kind(), table[i].1 as usize))
+    }
+
+    /// Every surviving constraint as `(old, new)` refs: clauses first,
+    /// each arena in creation order.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (ConstraintRef, ConstraintRef)> + '_ {
+        [Kind::Clause, Kind::Cube].into_iter().flat_map(move |kind| {
+            self.table(kind).iter().map(move |&(o, n)| {
+                (
+                    ConstraintRef::new(kind, o as usize),
+                    ConstraintRef::new(kind, n as usize),
+                )
+            })
+        })
     }
 }
 
@@ -506,8 +509,8 @@ impl Db {
     }
 
     /// Every constraint of both arenas (clauses first), including
-    /// tombstoned ones. Shadow-verification walk; also the proof sink's
-    /// pre-compaction token snapshot.
+    /// tombstoned ones: the shadow-verification walk.
+    #[cfg(any(test, feature = "debug-counters"))]
     pub(crate) fn all_refs(&self) -> impl Iterator<Item = ConstraintRef> + '_ {
         self.clauses
             .offsets()
@@ -747,6 +750,7 @@ impl Db {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::var::Var;
 
     fn lit(d: i64) -> Lit {
         Lit::from_dimacs(d)
@@ -894,6 +898,113 @@ mod tests {
         // Occurrence and creation-order indices follow the moves.
         assert_eq!(db.occ_original[lit(1).code()], vec![norig]);
         assert_eq!(db.learned_refs(), &[map2.remap(nb).unwrap(), map2.remap(nk).unwrap()]);
+    }
+
+    /// Compacts `db` and checks the returned [`RefMap`] against a dense
+    /// old-offset table built from the arenas beforehand: at every old
+    /// word offset of both arenas, `remap` is `None` unless a surviving
+    /// constraint's header sits there, and then it is the offset the
+    /// slide leaves it at. Survivors keep their literals and frame marks,
+    /// and every watcher points at a survivor.
+    fn compact_and_check(db: &mut Db) {
+        let before: Vec<(ConstraintRef, bool, Vec<Lit>, u32)> = db
+            .all_refs()
+            .map(|c| (c, db.is_deleted(c), db.lits(c).to_vec(), db.frame_mark(c)))
+            .collect();
+        let mut dense = [
+            vec![None; db.clauses.len_words()],
+            vec![None; db.cubes.len_words()],
+        ];
+        let mut write = [0usize; 2];
+        for (c, deleted, lits, _) in &before {
+            let k = (c.kind() == Kind::Cube) as usize;
+            if !deleted {
+                dense[k][c.offset()] = Some(write[k]);
+                write[k] += HEADER_WORDS + lits.len();
+            }
+        }
+        let map = db.compact();
+        for (k, kind) in [Kind::Clause, Kind::Cube].into_iter().enumerate() {
+            for (old, new) in dense[k].iter().enumerate() {
+                assert_eq!(
+                    map.remap(ConstraintRef::new(kind, old)),
+                    new.map(|n| ConstraintRef::new(kind, n)),
+                    "{kind:?} offset {old}"
+                );
+            }
+        }
+        let survivors: Vec<(ConstraintRef, ConstraintRef)> = before
+            .iter()
+            .filter(|(_, deleted, _, _)| !deleted)
+            .map(|(c, _, lits, mark)| {
+                let nc = map.remap(*c).expect("survivor");
+                assert_eq!(db.lits(nc), &lits[..]);
+                assert_eq!(db.frame_mark(nc), *mark);
+                (*c, nc)
+            })
+            .collect();
+        assert_eq!(map.pairs().collect::<Vec<_>>(), survivors);
+        let live: std::collections::HashSet<ConstraintRef> =
+            survivors.iter().map(|&(_, nc)| nc).collect();
+        for list in db.watch_clause.iter().chain(&db.watch_cube) {
+            assert!(list.iter().all(|w| live.contains(&w.cref)));
+        }
+        assert_eq!(db.arena_bytes(), (write[0] + write[1]) * 4);
+    }
+
+    #[test]
+    fn refmap_matches_a_dense_offset_table() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut compactions = 0;
+        for _ in 0..200 {
+            let vars = 2 + next(6);
+            let mut db = Db::new(vars);
+            for _ in 0..60 {
+                match next(10) {
+                    // Add a clause or cube, learned or (clauses only)
+                    // original; some get a push-frame mark, which makes
+                    // originals removable and must follow compaction.
+                    0..=5 => {
+                        let kind = if next(2) == 0 { Kind::Clause } else { Kind::Cube };
+                        let learned = kind == Kind::Cube || next(3) > 0;
+                        let lits: Vec<Lit> = (0..1 + next(5))
+                            .map(|_| Var::new(next(vars)).lit(next(2) == 0))
+                            .collect();
+                        let movable = lits.len().min(2);
+                        let c = db.add(lits, kind, learned, movable, 0, 0);
+                        db.set_frame_mark(c, next(2) as u32);
+                    }
+                    // Forget a live learned constraint.
+                    6..=7 => {
+                        let live: Vec<ConstraintRef> = db
+                            .learned_refs()
+                            .iter()
+                            .copied()
+                            .filter(|&c| !db.is_deleted(c))
+                            .collect();
+                        if !live.is_empty() {
+                            db.delete(live[next(live.len())]);
+                        }
+                    }
+                    // Pop the marked originals.
+                    8 => {
+                        db.remove_originals_above(0);
+                    }
+                    _ => {
+                        compact_and_check(&mut db);
+                        compactions += 1;
+                    }
+                }
+            }
+            compact_and_check(&mut db);
+        }
+        assert!(compactions > 1000, "only {compactions} compactions");
     }
 
     #[test]

@@ -1791,19 +1791,11 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
     fn compact_db(&mut self) {
         self.observer.on_phase_start(Phase::Compaction);
         // Compaction renames `ConstraintRef`s, which the proof sink uses
-        // as tokens: snapshot the live refs first, then rebuild the sink's
-        // token map from the (old, new) pairs.
-        let live: Vec<ConstraintRef> = if P::ENABLED {
-            self.db.all_refs().filter(|&c| !self.db.is_deleted(c)).collect()
-        } else {
-            Vec::new()
-        };
+        // as tokens: rebuild the sink's token map from the map's (old, new)
+        // pairs of the surviving constraints.
         let map = self.db.compact();
         if P::ENABLED {
-            let pairs: Vec<(u64, u64)> = live
-                .iter()
-                .filter_map(|&c| map.remap(c).map(|nc| (c.token(), nc.token())))
-                .collect();
+            let pairs: Vec<(u64, u64)> = map.pairs().map(|(c, nc)| (c.token(), nc.token())).collect();
             self.proof.remap_tokens(&pairs);
         }
         for v in 0..self.reason.len() {
