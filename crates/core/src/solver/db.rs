@@ -20,7 +20,9 @@
 //! the refs it holds outside the database (antecedent/reason refs and
 //! frame pseudo-reasons). Refs held *inside* the database — watcher
 //! lists, original-occurrence lists, shadow occurrence lists, and the
-//! learned creation-order index — are remapped here.
+//! learned creation-order index — are remapped here. The map holds one
+//! offset pair per surviving constraint, so its size follows the live
+//! database rather than the arena it compacts.
 //!
 //! # Watched literals
 //!
@@ -29,9 +31,10 @@
 //! place), and each kind has its own watcher lists, indexed by literal:
 //! `watch_clause[m]` is visited when `m` becomes *false*, `watch_cube[m]`
 //! when `m` becomes *true* — the assignment that moves a constraint of
-//! that kind towards its event. The same lists carry the **pinned unblock
-//! sentinels** (see [`Watcher`]): never moved, but remapped by compaction
-//! like any other watcher.
+//! that kind towards its event. The clause lists also carry the **pinned
+//! unblock sentinels** (see [`Watcher`]): never moved, but remapped by
+//! compaction like any other watcher. Cubes have none, so a cube holds at
+//! most two watcher entries however long it is.
 //!
 //! Each watcher entry carries a cached **blocker** literal (some other
 //! literal of the constraint). When the blocker already satisfies a
@@ -126,11 +129,13 @@ impl ConstraintRef {
 /// satisfies a clause (falsifies a cube), the visit is resolved without
 /// touching the constraint's memory — counted by the `blocker_hits` stat.
 ///
-/// `pinned` entries are **unblock sentinels**: they sit on a literal of
-/// the other quantifier that `≺`-blocks some watched-quantifier literal
-/// of the constraint and are never moved — its assignment against the
-/// constraint is exactly the Lemma 5 unblocking event, which must always
-/// trigger an examination (see the engine's module docs).
+/// `pinned` entries are **unblock sentinels** and occur in clause lists
+/// only: they sit on a universal literal that `≺`-blocks some existential
+/// literal of the clause and are never moved — its falsification is
+/// exactly the Lemma 5 unblocking event, which must always trigger an
+/// examination. Their blocker is that existential literal, checked first
+/// like any blocker. Cubes get no sentinels (the engine's module docs
+/// give the measured reason).
 /// Packed to 8 bytes (two words) so watcher lists stay cache-dense: the
 /// pinned flag lives in bit 31 of the blocker word (literal codes use at
 /// most 31 bits, like [`ConstraintRef`] offsets).
@@ -523,9 +528,9 @@ impl Db {
     ///
     /// The caller orders `lits` so that the watched prefix is legal (the
     /// engine's `attach` does this for every constraint it adds), and
-    /// `movable` is `min(2, #watched-quantifier literals)`. Unblock
-    /// sentinels (pinned watchers) are attached separately by the engine,
-    /// which knows the prefix order.
+    /// `movable` is `min(2, #watched-quantifier literals)`. A clause's
+    /// unblock sentinels (pinned watchers) are attached separately by the
+    /// engine, which knows the prefix order.
     ///
     /// `true_count`/`false_count` initialize the shadow counters; the
     /// non-shadow build keeps `true_count` live for original clauses only.

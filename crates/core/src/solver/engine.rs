@@ -75,11 +75,29 @@
 //!   literals of a TO good instead of its hundreds of existential ones.
 //!   Debug builds check the property where the search stops.
 //! * **Pinned unblock sentinels** cover the `≺`-blocked cases of
-//!   Lemma 5: each literal `b` of the other quantifier that precedes some
-//!   watched-quantifier literal `w` of the same constraint (`b ≺ w`)
-//!   carries a permanent watcher entry that is never moved and always
-//!   examines the constraint when `b` is set against it — exactly the
-//!   event that can unblock a pending unit.
+//!   Lemma 5 for clauses: each universal literal `b` that precedes some
+//!   existential literal `e` of the same clause (`b ≺ e`) carries a
+//!   permanent watcher entry that is never moved and always examines the
+//!   clause when `b` is falsified — exactly the event that can unblock a
+//!   pending unit.
+//! * **Cubes get no pinned sentinels.** A good turns unit through a
+//!   sentinel only when every existential in it that precedes its last
+//!   open universal is already true. Under a total order a good cannot be
+//!   existentially reduced past its universals (paper §V–VI), so a
+//!   QUBE(TO) good keeps ~220 mostly existential literals, nearly all of
+//!   which precede one of its universals: the dual rule pinned a watcher
+//!   on almost every literal of every good, and the search would have to
+//!   rebuild nearly the whole good before one of them fired. Measured on
+//!   the Table I pools, those watchers took 110.0 M of 227.4 M watcher
+//!   visits under TO (53.4 M of 83.6 M under PO), yielded 182 units and 7
+//!   early solutions (99 units under PO), and held most of the TO peak
+//!   memory. Units are optional for soundness and the search stays a
+//!   complete DFS; the movable watches still catch every validated good.
+//!   A `≺`-blocked cube unit is found, if at all, at the next examination
+//!   of the cube through a movable watch. Clause sentinels stay: on the
+//!   same pools learned-clause sentinels turned 55 k examinations into
+//!   1 560 units, and original-clause sentinels yield most of the 576 k
+//!   sentinel units.
 //!
 //! **Why watchers need no undo:** backtracking unassigns a suffix of the
 //! trail, level by level. Pinned sentinels are position-independent, so
@@ -105,14 +123,15 @@
 //! Neither engine re-detects such a unit until a literal of the
 //! constraint is touched again; for original constraints the triggering
 //! falsification always shares the propagated literal's level, so their
-//! units are never re-exposed.
+//! units are never re-exposed. Every cube is learned, so the missed
+//! `≺`-blocked cube units above fall under the same exemption.
 //!
 //! With the `debug-counters` feature the seed engine's eager
 //! `true_count`/`false_count` discipline runs in shadow over full
 //! occurrence lists and is cross-checked against the watched conclusions
 //! at every no-event propagation fixpoint (see `shadow_verify`): counters
 //! must match a from-scratch recount, no clause may be conflicting and no
-//! cube validated, and no original constraint may be unit. It keeps one
+//! cube validated, and no original clause may be unit. It keeps one
 //! arm per side on purpose: it is the independent check of the merged
 //! propagator.
 
@@ -176,8 +195,8 @@ impl Event {
 
 /// Scratch for the `≺`-blocking test inside one constraint: which literals
 /// of the other quantifier precede some literal of the watched quantifier
-/// (the literals reduction must keep and the ones that get unblock
-/// sentinels).
+/// (the literals reduction must keep, and in a clause the ones that get
+/// unblock sentinels).
 ///
 /// Between literals of opposite quantifiers, `b ≺ w` holds exactly when
 /// `b`'s block is a strict ancestor of `w`'s. So [`BlockClaims::claim`]
@@ -797,11 +816,12 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
     /// Visits the watchers of `p`, which has just been set against the
     /// side's constraints (falsified for clauses, satisfied for cubes).
     ///
-    /// Pinned unblock sentinels are examined in place. For movable
-    /// watches: resolve via the blocker if it settles the constraint, move
-    /// the watch to another watched-quantifier literal not set against
-    /// the constraint if one exists, and otherwise keep it (stale) and
-    /// examine the constraint under Lemma 4/5. On an event the remaining
+    /// Pinned unblock sentinels (clause lists only) are examined in
+    /// place. For movable watches: resolve via the blocker if it settles
+    /// the constraint, move the watch to another watched-quantifier
+    /// literal not set against the constraint if one exists, and
+    /// otherwise keep it (stale) and examine the constraint under
+    /// Lemma 4/5. On an event the remaining
     /// watchers are kept verbatim: the event handler pops the current
     /// level, which unassigns `p` itself.
     fn propagate_watches<const CUBE: bool>(&mut self, p: Lit) -> Option<Event> {
@@ -813,6 +833,7 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
         while i < ws.len() {
             let w = ws[i];
             i += 1;
+            debug_assert!(!(CUBE && w.pinned()), "pinned sentinel on a cube");
             self.stats.watcher_visits += 1;
             self.observer.on_watcher_visit();
             // Fast path: some other literal already settles the
@@ -1351,9 +1372,10 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
         cref
     }
 
-    /// Adds a constraint to the database with its movable watches and
-    /// unblock sentinels: the one place that orders literals for watching
-    /// (originals, learned constraints and imports alike).
+    /// Adds a constraint to the database with its movable watches and,
+    /// for a clause, its unblock sentinels: the one place that orders
+    /// literals for watching (originals, learned constraints and imports
+    /// alike).
     ///
     /// `Db::add` watches the first (up to) two positions, and movable
     /// watches must rest on the constraint's watched quantifier (see the
@@ -1394,35 +1416,35 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
         }
         let cref = self.db.add(lits, kind, learned, movable, t, f);
         self.stats.arena_bytes_peak = self.stats.arena_bytes_peak.max(self.db.bytes_peak as u64);
-        self.attach_unblock_sentinels(cref);
+        if !cube {
+            self.attach_unblock_sentinels(cref);
+        }
         if learned {
             self.db.set_activity(cref, self.stats.conflicts as f64);
         }
         cref
     }
 
-    /// Registers pinned unblock sentinels for `cref` (see [`super::db`]):
-    /// one permanent watcher per literal of the other quantifier
-    /// (universal in a clause, existential in a cube) that `≺`-precedes
-    /// some literal of the constraint's watched quantifier. Such literals
-    /// are exactly the ones whose assignment against the constraint can
-    /// *unblock* a Lemma 5 unit; the sentinel guarantees that event always
-    /// triggers an examination. The blocker is the first watched literal,
-    /// in stored order, that the sentinel's literal precedes, enabling the
-    /// settled fast path on visits.
+    /// Registers pinned unblock sentinels for clause `cref` (see
+    /// [`super::db`]): one permanent watcher per universal literal that
+    /// `≺`-precedes some existential literal of the clause. Such literals
+    /// are exactly the ones whose falsification can *unblock* a Lemma 5
+    /// unit; the sentinel guarantees that event always triggers an
+    /// examination. The blocker is the first existential literal, in
+    /// stored order, that the sentinel's literal precedes, enabling the
+    /// settled fast path on visits. Cubes get none (module docs).
     fn attach_unblock_sentinels(&mut self, cref: ConstraintRef) {
-        let kind = cref.kind();
-        let cube = kind == Kind::Cube;
+        debug_assert_eq!(cref.kind(), Kind::Clause, "cubes get no unblock sentinels");
         let prefix = self.qbf.prefix();
         let Solver { db, claims, .. } = self;
-        claims.claim(prefix, db.lits(cref), cube);
+        claims.claim(prefix, db.lits(cref), false);
         for k in 0..db.len(cref) {
             let b = db.lit(cref, k);
-            if prefix.is_existential(b.var()) != cube {
+            if prefix.is_existential(b.var()) {
                 continue; // a watched-quantifier literal
             }
             if let Some(w) = claims.blocked(prefix, b) {
-                db.watches_mut(kind)[b.code()].push(Watcher::new(cref, w, true));
+                db.watch_clause[b.code()].push(Watcher::new(cref, w, true));
             }
         }
         claims.clear();
@@ -1699,10 +1721,11 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
     }
 
     /// Adds one imported (peer-learned) constraint to the database with
-    /// exactly the watch ordering, sentinels and metadata `learn` would
-    /// give a local derivation — but without touching the learned-count
-    /// statistics or the proof log: imports are the *exporter's*
-    /// derivations, accounted by the sharing connection instead. Any
+    /// exactly the watch ordering, sentinels (clauses only) and metadata
+    /// `learn` would give a local derivation — but without touching the
+    /// learned-count statistics or the proof log: imports are the
+    /// *exporter's* derivations, accounted by the sharing connection
+    /// instead. Any
     /// unit propagation it triggers is assigned at the current decision
     /// level, so a later unwind retracts it like any other propagation.
     /// Imports are consequences of the shared bottom-frame matrix only
@@ -2085,10 +2108,10 @@ impl<O: SearchObserver, P: ProofSink> Solver<'_, O, P> {
     /// 1. every live constraint's counters equal a from-scratch recount
     ///    (the eager discipline is event-for-event intact), and
     /// 2. no constraint is conflicting (clauses) or validated (cubes),
-    ///    and no *original* constraint is unit — i.e. the counter engine,
+    ///    and no *original* clause is unit — i.e. the counter engine,
     ///    which scans occurrence lists eagerly, would not have found an
     ///    event the watched indices missed. This is the *tightness* claim
-    ///    of the watched-quantifier + pinned-sentinel discipline (see
+    ///    of the watched-quantifier + clause-sentinel discipline (see
     ///    the module docs), checked at every fixpoint of every run.
     ///
     ///    Learned constraints are exempt from the *unit* half only: the
@@ -2100,7 +2123,11 @@ impl<O: SearchObserver, P: ProofSink> Solver<'_, O, P> {
     ///    occurrence lists of newly assigned literals — missed exactly
     ///    the same re-exposed units, so this is engine-equivalent
     ///    behaviour, not a watched-index hole; the unit is re-detected at
-    ///    the next visit of any watched literal.
+    ///    the next visit of any watched literal. Every cube is learned,
+    ///    so the exemption also covers the `≺`-blocked cube units that
+    ///    cubes, having no pinned sentinels, leave undetected; the
+    ///    conflict and validated-cube halves still hold for every
+    ///    constraint.
     fn shadow_verify(&self) {
         for (i, c) in self.db.all_refs().enumerate() {
             if self.db.is_deleted(c) {
@@ -2298,20 +2325,18 @@ mod tests {
 
     /// The sentinel set by its quadratic definition, the reference for
     /// `attach_unblock_sentinels`: for each literal of the other
-    /// quantifier, the first watched literal (stored order) it precedes.
-    fn reference_unblock_sentinels(db: &mut Db, prefix: &Prefix, cref: ConstraintRef) {
-        let kind = cref.kind();
+    /// quantifier, the first watched literal (stored order) it precedes,
+    /// as `(sentinel literal, blocker)` pairs in stored order.
+    fn reference_unblock_sentinels(prefix: &Prefix, kind: Kind, lits: &[Lit]) -> Vec<(Lit, Lit)> {
         let watched = |l: Lit| prefix.is_existential(l.var()) != (kind == Kind::Cube);
-        let lits = db.lits(cref).to_vec();
-        for &b in lits.iter().filter(|&&b| !watched(b)) {
-            let blocked = lits
-                .iter()
-                .copied()
-                .find(|&w| watched(w) && prefix.precedes(b.var(), w.var()));
-            if let Some(w) = blocked {
-                db.watches_mut(kind)[b.code()].push(Watcher::new(cref, w, true));
-            }
-        }
+        lits.iter()
+            .filter(|&&b| !watched(b))
+            .filter_map(|&b| {
+                lits.iter()
+                    .find(|&&w| watched(w) && prefix.precedes(b.var(), w.var()))
+                    .map(|&w| (b, w))
+            })
+            .collect()
     }
 
     fn entries(lists: &[Vec<Watcher>]) -> Vec<Vec<(ConstraintRef, Lit, bool)>> {
@@ -2325,8 +2350,12 @@ mod tests {
             .collect()
     }
 
+    /// Clause sentinels equal the quadratic definition entry by entry
+    /// (literal, order, blocker); cubes get their movable watches and no
+    /// pinned entry, even where the definition would pin some.
     #[test]
     fn linear_sentinels_match_the_reference() {
+        let mut skipped_cube_sentinels = 0;
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut next = move |bound: usize| {
             state ^= state << 13;
@@ -2364,7 +2393,8 @@ mod tests {
                     solver.attach(lits, Kind::Cube, true);
                 }
                 // Replay the stored constraints into a fresh database,
-                // attaching sentinels with the reference routine.
+                // attaching clause sentinels by the reference definition;
+                // the cube replay keeps only the movable watches.
                 let mut reference = Db::new(n);
                 for c in solver.db.all_refs() {
                     let lits = solver.db.lits(c).to_vec();
@@ -2374,14 +2404,25 @@ mod tests {
                         .take(2)
                         .filter(|l| q.prefix().is_existential(l.var()) != cube)
                         .count();
+                    let sentinels = reference_unblock_sentinels(q.prefix(), c.kind(), &lits);
                     let r = reference.add(lits, c.kind(), solver.db.is_learned(c), movable, 0, 0);
                     assert_eq!(r, c);
-                    reference_unblock_sentinels(&mut reference, q.prefix(), r);
+                    if cube {
+                        skipped_cube_sentinels += sentinels.len();
+                    } else {
+                        for (b, w) in sentinels {
+                            reference.watch_clause[b.code()].push(Watcher::new(r, w, true));
+                        }
+                    }
                 }
                 assert_eq!(
                     entries(&solver.db.watch_clause),
                     entries(&reference.watch_clause),
                     "seed {seed}: clause watchers on {q}"
+                );
+                assert!(
+                    solver.db.watch_cube.iter().flatten().all(|w| !w.pinned()),
+                    "seed {seed}: pinned cube watcher on {q}"
                 );
                 assert_eq!(
                     entries(&solver.db.watch_cube),
@@ -2390,6 +2431,7 @@ mod tests {
                 );
             }
         }
+        assert!(skipped_cube_sentinels > 0, "no cube was ever ≺-blocked");
     }
 
     #[test]

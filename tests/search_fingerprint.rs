@@ -28,10 +28,14 @@
 //! digests unchanged. The trajectory-exact part of the TO hot-path work —
 //! the replacement search bounded by the watched prefix, the indexed
 //! decision heaps and the trail walk of conflict/solution analysis — moved
-//! none of them. The pinned-cube-sentinel rework still open (see ROADMAP)
-//! may move `WATCH_DIGEST` only: it changes how often watchers are
-//! visited, never what the search decides. Any other drift is a behaviour
-//! change and needs its `Stats` delta shown.
+//! none of them, and neither did sizing the compaction map by the live
+//! constraints. Dropping the pinned unblock sentinels of cubes moved two:
+//! `WATCH_DIGEST`, because the cube watcher lists lost those entries, and
+//! `HOOKS_DIGEST`, which folds every `Stats` field of the sharing
+//! portfolio's workers (they import cubes) and of the incremental runs.
+//! `SEARCH_DIGEST` and `PROOF_DIGEST` held: no one-shot run of this pool
+//! changed its trajectory. Any other drift is a behaviour change and
+//! needs its `Stats` delta shown.
 //!
 //! With `--features qbf-core/debug-counters` the same runs are also
 //! shadow-verified against the eager counter discipline; the digests are
@@ -45,10 +49,10 @@ use qbf_repro::gen::{fixed, fpv, ncf, rand_qbf, FixedParams, FpvParams, NcfParam
 use qbf_repro::prenex::portfolio::roster;
 use qbf_repro::prenex::{miniscope, prenex, Strategy};
 
-const WATCH_DIGEST: u64 = 0x9ff1_3fe7_4a8b_23d0;
+const WATCH_DIGEST: u64 = 0x778d_a5e8_55ec_0a74;
 const SEARCH_DIGEST: u64 = 0x339c_6f01_f0ac_ccb7;
 const PROOF_DIGEST: u64 = 0x7ccb_3a81_3861_bd9f;
-const HOOKS_DIGEST: u64 = 0xd8f6_c100_9fa0_af0d;
+const HOOKS_DIGEST: u64 = 0xc993_7ceb_ac84_cc3a;
 
 /// 64-bit FNV-1a.
 struct Fnv(u64);
