@@ -40,7 +40,12 @@
 //!
 //! ```text
 //! {"ok":false,"line":4,"error":"unknown command `solev`"}
+//! {"ok":false,"line":5,"error":"unknown field `level` for `push` (it takes no fields besides `cmd`)"}
 //! ```
+//!
+//! Each command accepts a fixed set of fields besides `cmd` (one table,
+//! `COMMANDS`); any other field is such an error, so a misspelt option
+//! is never silently ignored.
 //!
 //! Errors never terminate the server; it keeps accepting requests. All
 //! output is byte-deterministic: field order is fixed by the writer and
@@ -166,6 +171,52 @@ fn json_lit(v: &Json) -> Result<Lit, String> {
         return Err("literal 0 is reserved (DIMACS terminator)".to_string());
     }
     Ok(Lit::from_dimacs(n as i64))
+}
+
+/// The protocol's commands and, for each, the request fields it accepts
+/// besides `cmd`. This one table drives the unknown-command check, the
+/// unknown-field check and the text of both errors, so a misspelt or
+/// unsupported field (`"budget"`, `"level"`) is an error, never silently
+/// ignored.
+const COMMANDS: &[(&str, &[&str])] = &[
+    ("load", &["path", "text"]),
+    ("push", &[]),
+    ("pop", &[]),
+    ("add", &["lits"]),
+    ("assume", &["lit"]),
+    (
+        "solve",
+        &["engine", "scheme", "proof", "portfolio", "share_len", "deterministic", "epoch"],
+    ),
+    ("stats", &[]),
+    ("metrics", &["format"]),
+    ("proof", &["path", "instance"]),
+];
+
+/// Checks a request against [`COMMANDS`]: its command must be listed and
+/// every field besides `cmd` must be one that command accepts.
+fn check_fields(cmd: &str, request: &Json) -> Result<(), String> {
+    let allowed = COMMANDS
+        .iter()
+        .find(|(name, _)| *name == cmd)
+        .map(|(_, fields)| *fields)
+        .ok_or_else(|| format!("unknown command `{cmd}`"))?;
+    let Json::Obj(fields) = request else {
+        return Ok(());
+    };
+    match fields
+        .iter()
+        .find(|(key, _)| key != "cmd" && !allowed.contains(&key.as_str()))
+    {
+        None => Ok(()),
+        Some((key, _)) if allowed.is_empty() => Err(format!(
+            "unknown field `{key}` for `{cmd}` (it takes no fields besides `cmd`)"
+        )),
+        Some((key, _)) => Err(format!(
+            "unknown field `{key}` for `{cmd}` (accepted: `{}`)",
+            allowed.join("`, `")
+        )),
+    }
 }
 
 /// Reads an optional request field: `Ok(None)` when it is absent, its
@@ -346,6 +397,7 @@ impl Server {
             .and_then(Json::as_str)
             .ok_or("request object needs a string `cmd` field")?
             .to_string();
+        check_fields(&cmd, &request)?;
         match cmd.as_str() {
             "load" => self.cmd_load(&request),
             "push" => {
@@ -385,7 +437,7 @@ impl Server {
                 }
             }
             "proof" => self.cmd_proof(&request),
-            other => Err(format!("unknown command `{other}`")),
+            other => unreachable!("`{other}` passed check_fields without a handler"),
         }
     }
 
@@ -675,5 +727,26 @@ impl Server {
         }
         fields.push('}');
         Ok(fields)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every command of [`COMMANDS`] has a handler in `dispatch`, so
+    /// none reaches its `unreachable!` arm, with or without an instance.
+    #[test]
+    fn every_listed_command_is_dispatched() {
+        for loaded in [false, true] {
+            let mut server = Server::new(SolverConfig::partial_order());
+            if loaded {
+                server.load_text("p cnf 1 1\ne 1 0\n1 0\n").expect("tiny instance");
+            }
+            for (name, _) in COMMANDS {
+                let request = format!("{{\"cmd\":\"{name}\"}}");
+                assert!(server.handle_line(1, &request).is_some());
+            }
+        }
     }
 }

@@ -82,6 +82,70 @@ fn unknown_commands_are_rejected() {
 }
 
 #[test]
+fn unknown_fields_are_rejected_with_their_name() {
+    let mut s = loaded_server();
+    for (line, input, want) in [
+        (
+            1,
+            "{\"cmd\":\"solve\",\"budget\":-1,\"bogus\":true}",
+            "unknown field `budget` for `solve` (accepted: `engine`, `scheme`, `proof`, \
+             `portfolio`, `share_len`, `deterministic`, `epoch`)",
+        ),
+        (
+            2,
+            "{\"cmd\":\"push\",\"level\":7}",
+            "unknown field `level` for `push` (it takes no fields besides `cmd`)",
+        ),
+        (
+            3,
+            "{\"cmd\":\"add\",\"lits\":[3],\"frame\":1}",
+            "unknown field `frame` for `add` (accepted: `lits`)",
+        ),
+        (
+            4,
+            "{\"cmd\":\"metrics\",\"formats\":\"json\"}",
+            "unknown field `formats` for `metrics` (accepted: `format`)",
+        ),
+        (
+            5,
+            "{\"cmd\":\"proof\",\"path\":\"q.qrp\",\"instnace\":\"q.qtree\"}",
+            "unknown field `instnace` for `proof` (accepted: `path`, `instance`)",
+        ),
+        (
+            6,
+            "{\"cmd\":\"load\",\"file\":\"x.qtree\"}",
+            "unknown field `file` for `load` (accepted: `path`, `text`)",
+        ),
+        (
+            7,
+            "{\"cmd\":\"assume\",\"lit\":-1,\"sticky\":true}",
+            "unknown field `sticky` for `assume` (accepted: `lit`)",
+        ),
+        (
+            8,
+            "{\"cmd\":\"pop\",\"to\":0}",
+            "unknown field `to` for `pop` (it takes no fields besides `cmd`)",
+        ),
+        (
+            9,
+            "{\"cmd\":\"stats\",\"reset\":true}",
+            "unknown field `reset` for `stats` (it takes no fields besides `cmd`)",
+        ),
+    ] {
+        let r = s.handle_line(line, input).unwrap();
+        assert_eq!(r, format!("{{\"ok\":false,\"line\":{line},\"error\":\"{want}\"}}"));
+    }
+    // None of the rejected requests acted: no frame was pushed or added
+    // to, no query ran, and the session goes on.
+    assert_eq!(
+        s.handle_line(10, "{\"cmd\":\"push\"}").unwrap(),
+        "{\"ok\":true,\"cmd\":\"push\",\"level\":1}"
+    );
+    let r = s.handle_line(11, "{\"cmd\":\"stats\"}").unwrap();
+    assert!(r.contains("no query solved yet"), "got: {r}");
+}
+
+#[test]
 fn pop_past_the_bottom_frame_is_an_error() {
     let mut s = loaded_server();
     let r = s.handle_line(1, "{\"cmd\":\"pop\"}").unwrap();
