@@ -1,7 +1,11 @@
-//! Dependency-free benches (`cargo bench`): one representative
-//! configuration per experiment of §VII, for regression tracking. The full
-//! regeneration lives in the `repro` binary; these benches pin the relative
-//! TO/PO costs on fixed instances.
+//! Dependency-free benches (`cargo bench`) for regression tracking: one
+//! real search per order (a counter<3> diameter probe, PO on the tree
+//! form and TO on Eq. 16), the observer layer's overhead on the same
+//! probe, and the front-end transforms. Whole-workload wall-clock
+//! numbers come from `perfbench/`; the full regeneration of §VII lives
+//! in the `repro` binary. Search cases must do real work: instances that
+//! finish in a few dozen assignments time solver construction, not
+//! search, so none is kept here.
 //!
 //! The workspace builds hermetically (no crates.io access), so this is a
 //! plain `harness = false` binary timed with `std::time::Instant` instead
@@ -14,7 +18,7 @@ use std::time::{Duration, Instant};
 use qbf_core::preprocess::preprocess;
 use qbf_core::solver::{Solver, SolverConfig};
 use qbf_core::Qbf;
-use qbf_gen::{fixed, fpv, ncf, rand_qbf, FixedParams, FpvParams, NcfParams, RandParams};
+use qbf_gen::{fixed, ncf, FixedParams, NcfParams};
 use qbf_models::{diameter_qbf, DiameterForm};
 use qbf_prenex::{miniscope, prenex, Strategy};
 
@@ -46,40 +50,6 @@ fn bench<F: FnMut() -> u64>(group: &str, name: &str, mut f: F) {
     );
 }
 
-/// Table I rows 1–4 / Fig. 3: an NCF instance, PO vs the four strategies.
-fn bench_ncf() {
-    let params = NcfParams {
-        dep: 4,
-        var: 3,
-        cls_ratio: 2,
-        lpc: 3,
-    };
-    let po = ncf(&params, 7);
-    bench("ncf", "po", || solve(&po, &SolverConfig::partial_order()));
-    for strategy in Strategy::ALL {
-        let to = prenex(&po, strategy);
-        bench("ncf", &format!("to/{strategy}"), || {
-            solve(&to, &SolverConfig::total_order())
-        });
-    }
-}
-
-/// Table I row 5 / Fig. 4: an FPV instance.
-fn bench_fpv() {
-    let params = FpvParams {
-        config_vars: 4,
-        branches: 3,
-        branch_depth: 2,
-        block_vars: 3,
-        clauses_per_branch: 12,
-        lpc: 4,
-    };
-    let po = fpv(&params, 3);
-    let to = prenex(&po, Strategy::ExistsUpForallUp);
-    bench("fpv", "po", || solve(&po, &SolverConfig::partial_order()));
-    bench("fpv", "to", || solve(&to, &SolverConfig::total_order()));
-}
-
 /// Table I row 6 / Figs. 5–6: a diameter probe of counter<3>.
 fn bench_dia() {
     let model = qbf_models::counter(3);
@@ -93,33 +63,7 @@ fn bench_dia() {
     });
 }
 
-/// Table I rows 7–8 / Fig. 7: miniscoped PROB and FIXED instances.
-fn bench_miniscoped() {
-    let flat = fixed(
-        &FixedParams {
-            groups: 3,
-            depth: 3,
-            block_vars: 2,
-            clauses_per_group: 10,
-            lpc: 3,
-        },
-        5,
-    )
-    .prenex;
-    let mini = miniscope(&flat).expect("prenex input").qbf;
-    bench("qbfeval", "fixed_to", || {
-        solve(&flat, &SolverConfig::total_order())
-    });
-    bench("qbfeval", "fixed_po_miniscoped", || {
-        solve(&mini, &SolverConfig::partial_order())
-    });
-    let prob = rand_qbf(&RandParams::three_block(5, 4, 5, 35, 3), 2);
-    bench("qbfeval", "prob_to", || {
-        solve(&prob, &SolverConfig::total_order())
-    });
-}
-
-/// Observability overhead: the same NCF instance solved with the default
+/// Observability overhead: the same counter<3> probe solved with the default
 /// `NoopObserver` (must stay indistinguishable from the engine without
 /// the layer — the observer calls monomorphize to nothing) vs a profiler
 /// and the full observer fan-out (pins the cost of full tracing).
@@ -204,10 +148,7 @@ fn main() {
         "{:<14} {:<28} {:>12}  (iters, deterministic cost)",
         "group", "case", "median"
     );
-    bench_ncf();
-    bench_fpv();
     bench_dia();
-    bench_miniscoped();
     bench_observe();
     bench_transforms();
 }
