@@ -12,7 +12,8 @@
 //!   fig5              DIA scatter
 //!   fig6              counter/semaphore scaling curves
 //!   fig7              PROB + FIXED scatter (after miniscoping)
-//!   instances         dump the suite instances as .qtree/.qdimacs files
+//!   instances         dump the Table I instances as .qtree/.qdimacs files
+//!                     (DIA: dia_<model>_n<N>, tree form and Eq. 16)
 //!   ablate-score      PO heuristic: tree score vs level score
 //!   ablate-learning   learning on/off on DIA (PO)
 //!   ablate-miniscope  single-clause-scope elimination effect
@@ -224,6 +225,29 @@ fn main() {
                     fs::write(base.with_extension("qdimacs"), qdimacs::write(to))
                         .expect("write qdimacs");
                 }
+                count += 1;
+            }
+        }
+        // DIA: φn is true iff n is below the model's diameter d, and the
+        // suite stops probing at the first false φn, so Table I holds
+        // φ0 … φd (BFS eccentricity, capped at the scale's largest n).
+        // Models too large to explore keep every probe up to the cap.
+        for model in qbf_bench::suites::dia_models(scale) {
+            let cap = scale.dia_max_n();
+            let last = if model.bits() <= 16 {
+                qbf_models::explore(&model).map_or(cap, |e| e.eccentricity.min(cap))
+            } else {
+                cap
+            };
+            let name: String = model.name().chars().filter(char::is_ascii_alphanumeric).collect();
+            for n in 0..=last {
+                let base = dir.join(format!("dia_{name}_n{n}"));
+                let tree = qbf_models::diameter_qbf(&model, n, qbf_models::DiameterForm::Tree);
+                let flat = qbf_models::diameter_qbf(&model, n, qbf_models::DiameterForm::Prenex);
+                fs::write(base.with_extension("qtree"), qtree::write(&tree.qbf))
+                    .expect("write qtree");
+                fs::write(base.with_extension("qdimacs"), qdimacs::write(&flat.qbf))
+                    .expect("write qdimacs");
                 count += 1;
             }
         }

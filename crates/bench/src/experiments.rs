@@ -311,10 +311,7 @@ pub fn dia_suite_result(scale: Scale) -> (SuiteResult, Vec<ScalingCurve>) {
 /// threads; curves and telemetry are aggregated in model order.
 pub fn dia_suite_result_jobs(scale: Scale, jobs: usize) -> (SuiteResult, Vec<ScalingCurve>) {
     let budget = scale.dia_budget();
-    let max_n = match scale {
-        Scale::Small => 10,
-        Scale::Paper => 40,
-    };
+    let max_n = scale.dia_max_n();
     let mut rows = vec![(Strategy::ExistsUpForallUp.to_string(), TableRow::default())];
     let mut pairs = Vec::new();
     let mut telemetry = Vec::new();

@@ -33,6 +33,14 @@ impl Scale {
         self.budget() * 6
     }
 
+    /// The largest bound `n` the DIA experiments probe (φ0 … φmax).
+    pub fn dia_max_n(self) -> u32 {
+        match self {
+            Scale::Small => 10,
+            Scale::Paper => 40,
+        }
+    }
+
     /// The tie window standing in for the paper's "within 1 s".
     pub fn tie(self) -> std::time::Duration {
         match self {
