@@ -239,7 +239,11 @@ fn main() {
             } else {
                 cap
             };
-            let name: String = model.name().chars().filter(char::is_ascii_alphanumeric).collect();
+            let name: String = model
+                .name()
+                .chars()
+                .filter(char::is_ascii_alphanumeric)
+                .collect();
             for n in 0..=last {
                 let base = dir.join(format!("dia_{name}_n{n}"));
                 let tree = qbf_models::diameter_qbf(&model, n, qbf_models::DiameterForm::Tree);

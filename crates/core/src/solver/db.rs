@@ -133,9 +133,9 @@ impl ConstraintRef {
 /// only: they sit on a universal literal that `≺`-blocks some existential
 /// literal of the clause and are never moved — its falsification is
 /// exactly the Lemma 5 unblocking event, which must always trigger an
-/// examination. Their blocker is that existential literal, checked first
-/// like any blocker. Cubes get no sentinels (the engine's module docs
-/// give the measured reason).
+/// examination. Their blocker is the first such existential literal in
+/// stored order, checked first like any blocker. Cubes get no sentinels
+/// (the engine's module docs give the measured reason).
 /// Packed to 8 bytes (two words) so watcher lists stay cache-dense: the
 /// pinned flag lives in bit 31 of the blocker word (literal codes use at
 /// most 31 bits, like [`ConstraintRef`] offsets).
@@ -300,14 +300,16 @@ impl RefMap {
     /// Every surviving constraint as `(old, new)` refs: clauses first,
     /// each arena in creation order.
     pub(crate) fn pairs(&self) -> impl Iterator<Item = (ConstraintRef, ConstraintRef)> + '_ {
-        [Kind::Clause, Kind::Cube].into_iter().flat_map(move |kind| {
-            self.table(kind).iter().map(move |&(o, n)| {
-                (
-                    ConstraintRef::new(kind, o as usize),
-                    ConstraintRef::new(kind, n as usize),
-                )
+        [Kind::Clause, Kind::Cube]
+            .into_iter()
+            .flat_map(move |kind| {
+                self.table(kind).iter().map(move |&(o, n)| {
+                    (
+                        ConstraintRef::new(kind, o as usize),
+                        ConstraintRef::new(kind, n as usize),
+                    )
+                })
             })
-        })
     }
 }
 
@@ -976,7 +978,11 @@ mod tests {
                     // original; some get a push-frame mark, which makes
                     // originals removable and must follow compaction.
                     0..=5 => {
-                        let kind = if next(2) == 0 { Kind::Clause } else { Kind::Cube };
+                        let kind = if next(2) == 0 {
+                            Kind::Clause
+                        } else {
+                            Kind::Cube
+                        };
                         let learned = kind == Kind::Cube || next(3) > 0;
                         let lits: Vec<Lit> = (0..1 + next(5))
                             .map(|_| Var::new(next(vars)).lit(next(2) == 0))

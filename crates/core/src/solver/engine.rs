@@ -80,24 +80,23 @@
 //!   permanent watcher entry that is never moved and always examines the
 //!   clause when `b` is falsified — exactly the event that can unblock a
 //!   pending unit.
-//! * **Cubes get no pinned sentinels.** A good turns unit through a
-//!   sentinel only when every existential in it that precedes its last
-//!   open universal is already true. Under a total order a good cannot be
-//!   existentially reduced past its universals (paper §V–VI), so a
-//!   QUBE(TO) good keeps ~220 mostly existential literals, nearly all of
-//!   which precede one of its universals: the dual rule pinned a watcher
-//!   on almost every literal of every good, and the search would have to
-//!   rebuild nearly the whole good before one of them fired. Measured on
-//!   the Table I pools, those watchers took 110.0 M of 227.4 M watcher
-//!   visits under TO (53.4 M of 83.6 M under PO), yielded 182 units and 7
-//!   early solutions (99 units under PO), and held most of the TO peak
-//!   memory. Units are optional for soundness and the search stays a
-//!   complete DFS; the movable watches still catch every validated good.
-//!   A `≺`-blocked cube unit is found, if at all, at the next examination
-//!   of the cube through a movable watch. Clause sentinels stay: on the
-//!   same pools learned-clause sentinels turned 55 k examinations into
-//!   1 560 units, and original-clause sentinels yield most of the 576 k
-//!   sentinel units.
+//! * **Cubes get no pinned sentinels.** The dual rule would pin each
+//!   existential of a good that precedes one of its universals, and such
+//!   a sentinel turns the good unit only when every existential in it
+//!   that precedes its last open universal is already true. Under a total
+//!   order a good cannot be existentially reduced past its universals
+//!   (paper §V–VI), so a QUBE(TO) good keeps ~220 mostly existential
+//!   literals, nearly all pinned, and the search must rebuild nearly the
+//!   whole good before one fires. Measured on the Table I pools, those
+//!   watchers took 110.0 M of 227.4 M watcher visits under TO (53.4 M of
+//!   83.6 M under PO) for 182 units and 7 early solutions (99 units under
+//!   PO), and held most of the TO peak memory. Units are optional for
+//!   soundness and the search stays a complete DFS; the movable watches
+//!   still catch every validated good. A `≺`-blocked cube unit is found,
+//!   if at all, when a movable watch next examines the cube. Clause
+//!   sentinels stay: on the same pools learned-clause sentinels turned
+//!   55 k examinations into 1 560 units, and original-clause sentinels
+//!   yield most of the 576 k sentinel units.
 //!
 //! **Why watchers need no undo:** backtracking unassigns a suffix of the
 //! trail, level by level. Pinned sentinels are position-independent, so
@@ -821,9 +820,9 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
     /// the constraint, move the watch to another watched-quantifier
     /// literal not set against the constraint if one exists, and
     /// otherwise keep it (stale) and examine the constraint under
-    /// Lemma 4/5. On an event the remaining
-    /// watchers are kept verbatim: the event handler pops the current
-    /// level, which unassigns `p` itself.
+    /// Lemma 4/5. On an event the remaining watchers are kept verbatim:
+    /// the event handler pops the current level, which unassigns `p`
+    /// itself.
     fn propagate_watches<const CUBE: bool>(&mut self, p: Lit) -> Option<Event> {
         let kind = Kind::of(CUBE);
         let mut ws = std::mem::take(&mut self.db.watches_mut(kind)[p.code()]);
@@ -1725,12 +1724,11 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
     /// `learn` would give a local derivation — but without touching the
     /// learned-count statistics or the proof log: imports are the
     /// *exporter's* derivations, accounted by the sharing connection
-    /// instead. Any
-    /// unit propagation it triggers is assigned at the current decision
-    /// level, so a later unwind retracts it like any other propagation.
-    /// Imports are consequences of the shared bottom-frame matrix only
-    /// (the portfolio never runs under push frames), so they carry no
-    /// frame mark.
+    /// instead. Any unit propagation it triggers is assigned at the
+    /// current decision level, so a later unwind retracts it like any
+    /// other propagation. Imports are consequences of the shared
+    /// bottom-frame matrix only (the portfolio never runs under push
+    /// frames), so they carry no frame mark.
     fn import_constraint(&mut self, lits: Vec<Lit>, kind: Kind) -> ConstraintRef {
         let cref = self.attach(lits, kind, true);
         self.brancher.on_learn(self.db.lits(cref));
@@ -1818,7 +1816,8 @@ impl<'a, O: SearchObserver, P: ProofSink> Solver<'a, O, P> {
         // pairs of the surviving constraints.
         let map = self.db.compact();
         if P::ENABLED {
-            let pairs: Vec<(u64, u64)> = map.pairs().map(|(c, nc)| (c.token(), nc.token())).collect();
+            let pairs: Vec<(u64, u64)> =
+                map.pairs().map(|(c, nc)| (c.token(), nc.token())).collect();
             self.proof.remap_tokens(&pairs);
         }
         for v in 0..self.reason.len() {

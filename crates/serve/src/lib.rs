@@ -186,7 +186,15 @@ const COMMANDS: &[(&str, &[&str])] = &[
     ("assume", &["lit"]),
     (
         "solve",
-        &["engine", "scheme", "proof", "portfolio", "share_len", "deterministic", "epoch"],
+        &[
+            "engine",
+            "scheme",
+            "proof",
+            "portfolio",
+            "share_len",
+            "deterministic",
+            "epoch",
+        ],
     ),
     ("stats", &[]),
     ("metrics", &["format"]),
@@ -741,7 +749,9 @@ mod tests {
         for loaded in [false, true] {
             let mut server = Server::new(SolverConfig::partial_order());
             if loaded {
-                server.load_text("p cnf 1 1\ne 1 0\n1 0\n").expect("tiny instance");
+                server
+                    .load_text("p cnf 1 1\ne 1 0\n1 0\n")
+                    .expect("tiny instance");
             }
             for (name, _) in COMMANDS {
                 let request = format!("{{\"cmd\":\"{name}\"}}");

@@ -133,7 +133,10 @@ fn unknown_fields_are_rejected_with_their_name() {
         ),
     ] {
         let r = s.handle_line(line, input).unwrap();
-        assert_eq!(r, format!("{{\"ok\":false,\"line\":{line},\"error\":\"{want}\"}}"));
+        assert_eq!(
+            r,
+            format!("{{\"ok\":false,\"line\":{line},\"error\":\"{want}\"}}")
+        );
     }
     // None of the rejected requests acted: no frame was pushed or added
     // to, no query ran, and the session goes on.
