@@ -128,6 +128,11 @@ impl ConstraintRef {
 /// (some other literal of the constraint). If the blocker already
 /// satisfies a clause (falsifies a cube), the visit is resolved without
 /// touching the constraint's memory — counted by the `blocker_hits` stat.
+/// A movable clause watch stores the other watched literal. So does a
+/// movable cube watch, except when it stays on its literal because the
+/// cube was found disabled: then it stores the false literal that
+/// disabled it (the engine's module docs give the rule and why it is
+/// sound).
 ///
 /// `pinned` entries are **unblock sentinels** and occur in clause lists
 /// only: they sit on a universal literal that `≺`-blocks some existential
