@@ -90,6 +90,35 @@ impl LearnedKind {
     }
 }
 
+/// Which kind of watcher-list entry a propagation visit examined.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WatchSide {
+    /// A movable watch of a clause (original or learned nogood).
+    ClauseMovable,
+    /// A pinned `≺`-unblock sentinel of a clause.
+    ClausePinned,
+    /// A movable watch of a learned good (cubes have no pinned entries).
+    Cube,
+}
+
+impl WatchSide {
+    /// Every side, in the order the profile reports them.
+    pub const ALL: [WatchSide; 3] = [
+        WatchSide::ClauseMovable,
+        WatchSide::ClausePinned,
+        WatchSide::Cube,
+    ];
+
+    /// Short lowercase tag used by the textual renderers.
+    pub fn tag(self) -> &'static str {
+        match self {
+            WatchSide::ClauseMovable => "clause-movable",
+            WatchSide::ClausePinned => "clause-pinned",
+            WatchSide::Cube => "cube",
+        }
+    }
+}
+
 /// Receiver for search events.
 ///
 /// Every method has an empty default body; implementors override the
@@ -122,12 +151,13 @@ impl LearnedKind {
 ///   database reduction dropped `dropped` learned constraints / heuristic
 ///   scores were halved;
 /// * [`on_watcher_visit`](SearchObserver::on_watcher_visit) — iterative
-///   solver only: one watcher-list entry was examined (the propagation
-///   cost measure; extremely hot, keep implementations trivial);
+///   solver only: one watcher-list entry of the given [`WatchSide`] was
+///   examined (the propagation cost measure; extremely hot, keep
+///   implementations trivial);
 /// * [`on_blocker_hit`](SearchObserver::on_blocker_hit) — iterative solver
 ///   only: a watcher visit was resolved by its cached blocker literal
 ///   without touching the constraint arena (fired in addition to
-///   `on_watcher_visit`; as hot as it);
+///   `on_watcher_visit`, with the same side; as hot as it);
 /// * [`on_compaction`](SearchObserver::on_compaction) — iterative solver
 ///   only: database reduction physically compacted the constraint arenas,
 ///   reclaiming `reclaimed_bytes`;
@@ -197,13 +227,18 @@ pub trait SearchObserver: fmt::Debug {
     #[inline]
     fn on_decay(&mut self) {}
 
-    /// One watcher-list entry was visited during propagation.
+    /// One watcher-list entry of `side` was visited during propagation.
     #[inline]
-    fn on_watcher_visit(&mut self) {}
+    fn on_watcher_visit(&mut self, side: WatchSide) {
+        let _ = side;
+    }
 
-    /// A watcher visit was satisfied by its cached blocker literal.
+    /// A watcher visit of `side` was satisfied by its cached blocker
+    /// literal.
     #[inline]
-    fn on_blocker_hit(&mut self) {}
+    fn on_blocker_hit(&mut self, side: WatchSide) {
+        let _ = side;
+    }
 
     /// The constraint arenas were compacted, reclaiming `reclaimed_bytes`.
     #[inline]
@@ -300,8 +335,8 @@ forward_events! {
     on_chrono_backtrack(from: u32, to: u32);
     on_forget(dropped: usize);
     on_decay();
-    on_watcher_visit();
-    on_blocker_hit();
+    on_watcher_visit(side: WatchSide);
+    on_blocker_hit(side: WatchSide);
     on_compaction(reclaimed_bytes: usize);
     on_phase_start(phase: Phase);
     on_phase_end(phase: Phase);
@@ -477,7 +512,7 @@ impl SearchObserver for JsonlTrace {
     fn on_decay(&mut self) {
         self.buf.push_str("{\"e\":\"decay\"}\n");
     }
-    fn on_watcher_visit(&mut self) {
+    fn on_watcher_visit(&mut self, _side: WatchSide) {
         self.watcher_visits += 1;
     }
 }
@@ -588,8 +623,9 @@ pub struct Profiler {
     chrono_backtracks: u64,
     forgotten: u64,
     decays: u64,
-    watcher_visits: u64,
-    blocker_hits: u64,
+    /// Watcher visits and blocker hits, indexed by `WatchSide as usize`.
+    watcher_visits: [u64; 3],
+    blocker_hits: [u64; 3],
     compactions: u64,
     bytes_reclaimed: u64,
     learned_clause_sizes: Histogram,
@@ -626,8 +662,8 @@ impl Profiler {
             chrono_backtracks: 0,
             forgotten: 0,
             decays: 0,
-            watcher_visits: 0,
-            blocker_hits: 0,
+            watcher_visits: [0; 3],
+            blocker_hits: [0; 3],
             compactions: 0,
             bytes_reclaimed: 0,
             learned_clause_sizes: Histogram::new(32),
@@ -702,12 +738,22 @@ impl Profiler {
 
     /// Watcher-list entries visited.
     pub fn watcher_visits(&self) -> u64 {
-        self.watcher_visits
+        self.watcher_visits.iter().sum()
     }
 
     /// Watcher visits resolved by the cached blocker literal.
     pub fn blocker_hits(&self) -> u64 {
-        self.blocker_hits
+        self.blocker_hits.iter().sum()
+    }
+
+    /// Watcher-list entries of `side` visited.
+    pub fn side_visits(&self, side: WatchSide) -> u64 {
+        self.watcher_visits[side as usize]
+    }
+
+    /// Visits of `side` resolved by the cached blocker literal.
+    pub fn side_blocker_hits(&self, side: WatchSide) -> u64 {
+        self.blocker_hits[side as usize]
     }
 
     /// Arena compaction passes observed.
@@ -781,21 +827,32 @@ impl Profiler {
             self.chain_lengths.max(),
             self.chain_lengths.render()
         ));
+        let share = |hits: u64, visits: u64| {
+            if visits == 0 {
+                0.0
+            } else {
+                100.0 * hits as f64 / visits as f64
+            }
+        };
         s.push_str(&format!(
             "  watcher visits       {} total, {:.2}/propagation (max {})\n",
-            self.watcher_visits,
+            self.watcher_visits(),
             self.visits_per_propagation.mean(),
             self.visits_per_propagation.max()
         ));
         s.push_str(&format!(
             "  blocker hits         {} ({:.1}% of visits)\n",
-            self.blocker_hits,
-            if self.watcher_visits == 0 {
-                0.0
-            } else {
-                100.0 * self.blocker_hits as f64 / self.watcher_visits as f64
-            }
+            self.blocker_hits(),
+            share(self.blocker_hits(), self.watcher_visits())
         ));
+        for side in WatchSide::ALL {
+            let (visits, hits) = (self.side_visits(side), self.side_blocker_hits(side));
+            s.push_str(&format!(
+                "    {:<18} {visits} visits, {:.1}% blocker hits\n",
+                side.tag(),
+                share(hits, visits)
+            ));
+        }
         s.push_str(&format!(
             "  compactions          {} ({} bytes reclaimed)\n",
             self.compactions, self.bytes_reclaimed
@@ -891,12 +948,12 @@ impl SearchObserver for Profiler {
     fn on_decay(&mut self) {
         self.decays += 1;
     }
-    fn on_watcher_visit(&mut self) {
-        self.watcher_visits += 1;
+    fn on_watcher_visit(&mut self, side: WatchSide) {
+        self.watcher_visits[side as usize] += 1;
         self.visits_since_propagation += 1;
     }
-    fn on_blocker_hit(&mut self) {
-        self.blocker_hits += 1;
+    fn on_blocker_hit(&mut self, side: WatchSide) {
+        self.blocker_hits[side as usize] += 1;
     }
     fn on_compaction(&mut self, reclaimed_bytes: usize) {
         self.compactions += 1;
