@@ -49,7 +49,7 @@ for f in exists mixed; do
     }
 done
 
-echo "==> TO memory gate (DIA semaphore<3>@n3, Eq. 16, QUBE(TO): peak RSS <= 40 MB)"
+echo "==> TO memory gate (DIA semaphore<3>@n3, Eq. 16, QUBE(TO): peak RSS <= 40 MB, arena touches <= 6 M)"
 # Table I's heaviest TO run, on Table I's DIA budget. It must end normally:
 # a verdict, or exit 1 with `s cnf -1` when the budget runs out (as Table I
 # records it today). Its peak RSS, read by python3 from getrusage, must
@@ -57,19 +57,29 @@ echo "==> TO memory gate (DIA semaphore<3>@n3, Eq. 16, QUBE(TO): peak RSS <= 40 
 # compaction map is sized by the live constraints. With a pinned sentinel
 # on nearly every literal of a ~220-literal good and a one-word-per-arena-
 # word compaction map, the same run peaked at about 75 MB.
+# Its arena touches (watcher visits that miss the blocker, read from
+# --stats) must stay at or under 6 M: a good found disabled keeps the
+# literal that disabled it as its blocker. The run makes about 3.1 M; with
+# the other watched literal as the blocker it made 30.6 M.
 mkdir -p target/memory-gate
 ./target/release/repro --out target/memory-gate instances > /dev/null
 python3 - target/memory-gate/instances/dia_semaphore3_n3.qdimacs <<'EOF'
-import resource, subprocess, sys
-cmd = ["./target/release/qbfsolve", "--to", "--budget", "1200000", sys.argv[1]]
+import re, resource, subprocess, sys
+cmd = ["./target/release/qbfsolve", "--to", "--budget", "1200000", "--stats", sys.argv[1]]
 run = subprocess.run(cmd, capture_output=True, text=True)
 answer = run.stdout.strip()
 peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 if {10: "s cnf 1", 20: "s cnf 0", 1: "s cnf -1"}.get(run.returncode) != answer:
     sys.exit(f"ci.sh: qbfsolve --to on the TO probe exited {run.returncode} with {answer!r}")
-print(f"TO probe: {answer}, peak RSS {peak_mb:.1f} MB")
+stats = dict(re.findall(r"^c (\w+) += (\d+)$", run.stderr, re.M))
+if "watcher_visits" not in stats or "blocker_hits" not in stats:
+    sys.exit("ci.sh: qbfsolve --stats on the TO probe printed no watcher counters")
+touches = int(stats["watcher_visits"]) - int(stats["blocker_hits"])
+print(f"TO probe: {answer}, peak RSS {peak_mb:.1f} MB, {touches} arena touches")
 if peak_mb > 40:
     sys.exit(f"ci.sh: TO probe peak RSS {peak_mb:.1f} MB exceeds 40 MB")
+if touches > 6_000_000:
+    sys.exit(f"ci.sh: TO probe made {touches} arena touches, more than 6 000 000")
 EOF
 
 echo "==> front-end bit-identity gate (preprocess + miniscope vs the reference)"
