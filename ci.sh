@@ -117,11 +117,30 @@ for cfg in --to --po; do
     cmp target/proof-gate/a.qrp target/proof-gate/b.qrp
     ./target/release/qbfcheck data/paper_example.qtree target/proof-gate/a.qrp
 done
+# Under --preprocess the log would certify the simplified instance, which
+# qbfcheck rejects against the input file (E11). Until the preprocessor's
+# steps are logged, qbfsolve refuses the pair: exit 1, an error naming
+# both flags, and no certificate file, on the single-solver and the
+# portfolio path alike.
+for mode in "" "--portfolio 2 --deterministic"; do
+    rm -f target/proof-gate/pre.qrp
+    status=0
+    ./target/release/qbfsolve --po --preprocess $mode --proof=target/proof-gate/pre.qrp \
+        data/paper_example.qtree > /dev/null 2> target/proof-gate/pre.err || status=$?
+    [ "$status" -eq 1 ] || { echo "ci.sh: qbfsolve --preprocess --proof $mode exited $status"; exit 1; }
+    grep -q -- "--preprocess" target/proof-gate/pre.err && grep -q -- "--proof" target/proof-gate/pre.err || {
+        echo "ci.sh: qbfsolve --preprocess --proof $mode did not name both flags"; exit 1;
+    }
+    [ ! -e target/proof-gate/pre.qrp ] || {
+        echo "ci.sh: qbfsolve --preprocess --proof $mode wrote a certificate"; exit 1;
+    }
+done
 
 echo "==> qbfsolve instrumentation gate (--metrics on every observer path)"
 # --metrics alone attaches the phase recorder directly; next to --profile
-# and --trace-json it joins the observer fan-out; --proof and --to take
-# the other solver arms; --engine expand times the expansion engine.
+# and --trace-json it joins the observer fan-out; --proof adds a
+# certificate log beside the directly attached recorder; --to runs the TO
+# configuration; --engine expand times the expansion engine.
 # paper_example is false: each run must exit 20, print `s cnf 0` and
 # report at least one timed call of its engine's main phase.
 mkdir -p target/instrument-gate
@@ -319,6 +338,11 @@ cmp target/expand-gate/x1.txt target/expand-gate/x4.txt
 grep -q "expand-po" target/expand-gate/x4.txt || {
     echo "ci.sh: expansion workers missing from the mixed transcript"; exit 1;
 }
+
+echo "==> rustdoc (warnings denied)"
+# Broken or private intra-doc links and redundant link targets fail the
+# build of the API docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo clippy (best effort)"
 # clippy may not be installed in minimal offline toolchains; treat its

@@ -169,7 +169,7 @@ impl SolverTotals {
 ///   reconstructed from the telemetry records by pairing each `to:<s>`
 ///   run with the `po` run of the same instance;
 /// * `po` / `to` — learning and cost totals per solver side, summed from
-///   the telemetry records ([`SolverTotals`]).
+///   the telemetry records.
 ///
 /// Wall-clock times never enter this document (they live in the JSONL
 /// stream), so repeated runs on the same seeds are byte-identical.

@@ -16,7 +16,7 @@
 //! decision pivots simply *stay* in the learned constraint (see the
 //! engine's soundness notes), so a derivation never depends on the
 //! deriving worker's heuristic state. All roster variants share one
-//! matrix and one variable numbering ([`qbf_prenex::prenex`] only
+//! matrix and one variable numbering (`qbf_prenex::prenex` only
 //! reshapes the prefix), so a constraint derived by worker A is a
 //! well-formed constraint for worker B; it is a *sound* constraint for B
 //! whenever every reduction step legal under A's order is legal under
@@ -46,7 +46,7 @@ use std::thread;
 
 use crate::metrics::{EngineMetrics, WallClock};
 use crate::observe::{NoopObserver, SearchObserver};
-use crate::proof::{NoProof, ProofLog, ProofSink};
+use crate::proof::ProofLog;
 use crate::qbf::Qbf;
 use crate::solver::{Solver, SolverConfig, Stats};
 use crate::var::Lit;
@@ -461,12 +461,11 @@ impl ExternalSlot<'_> {
 // The drivers
 // ----------------------------------------------------------------------
 
-struct Worker<'v, O: SearchObserver, P: ProofSink> {
+struct Worker<'v, O: SearchObserver> {
     index: usize,
     class: ShareClass,
     node_limit: Option<u64>,
-    conflict_limit: Option<u64>,
-    solver: Solver<'v, O, P>,
+    solver: Solver<'v, O>,
     value: Option<bool>,
     finished: bool,
     timed_out: bool,
@@ -474,27 +473,17 @@ struct Worker<'v, O: SearchObserver, P: ProofSink> {
     steps: u64,
 }
 
-impl<O: SearchObserver, P: ProofSink> Worker<'_, O, P> {
+impl<O: SearchObserver> Worker<'_, O> {
     fn live(&self) -> bool {
         !self.finished && !self.timed_out && !self.panicked
     }
 
-    /// Whether the worker's *hard* budget (its config limits, as opposed
-    /// to the driver's epoch pause point) is spent — mirrors the
-    /// engine's `budget_exhausted` comparisons.
+    /// Whether the worker's *hard* budget (its config's node limit, as
+    /// opposed to the driver's epoch pause point) is spent — mirrors the
+    /// engine's `budget_exhausted` comparison.
     fn hard_budget_exhausted(&self) -> bool {
-        let stats = self.solver.current_stats();
-        if let Some(limit) = self.node_limit {
-            if stats.assignments() > limit {
-                return true;
-            }
-        }
-        if let Some(limit) = self.conflict_limit {
-            if stats.conflicts + stats.solutions > limit {
-                return true;
-            }
-        }
-        false
+        self.node_limit
+            .is_some_and(|limit| self.solver.current_stats().assignments() > limit)
     }
 
     /// Advances the search to the shared epoch bound, recording a
@@ -543,8 +532,8 @@ fn run_parallel<J: Send, F: Fn(J) + Sync>(jobs: Vec<J>, threads: usize, f: F) {
 
 /// One schedulable unit of the deterministic driver: a search worker or
 /// an external engine.
-enum Job<'w, 'v, 'e, O: SearchObserver, P: ProofSink> {
-    Search(&'w mut Worker<'v, O, P>),
+enum Job<'w, 'v, 'e, O: SearchObserver> {
+    Search(&'w mut Worker<'v, O>),
     External(&'w mut ExternalSlot<'e>),
 }
 
@@ -552,20 +541,16 @@ enum Job<'w, 'v, 'e, O: SearchObserver, P: ProofSink> {
 /// search workers first, externals after). Each worker interprets the
 /// shared epoch bound in its own cost metric, so the lockstep stays
 /// byte-reproducible across thread counts and repeated runs.
-fn run_deterministic<O, P>(
-    workers: &mut [Worker<'_, O, P>],
+fn run_deterministic<O: SearchObserver + Send>(
+    workers: &mut [Worker<'_, O>],
     externals: &mut [ExternalSlot<'_>],
     opts: &PortfolioOptions,
-) -> Option<usize>
-where
-    O: SearchObserver + Send,
-    P: ProofSink + Send,
-{
+) -> Option<usize> {
     let epoch = opts.epoch.max(1);
     let inject = opts.debug_panic_worker;
     let mut epoch_end = epoch;
     loop {
-        let live: Vec<Job<'_, '_, '_, O, P>> = workers
+        let live: Vec<Job<'_, '_, '_, O>> = workers
             .iter_mut()
             .filter(|w| w.live())
             .map(Job::Search)
@@ -628,7 +613,7 @@ where
 /// Deterministic epoch barrier: collects every worker's outbox in
 /// worker-index order into one batch and stages it into each live
 /// worker's connection.
-fn exchange<O: SearchObserver, P: ProofSink>(workers: &mut [Worker<'_, O, P>]) {
+fn exchange<O: SearchObserver>(workers: &mut [Worker<'_, O>]) {
     let mut batch: Vec<ShareEntry> = Vec::new();
     for w in workers.iter_mut() {
         let (from, class) = (w.index, w.class);
@@ -653,15 +638,11 @@ fn exchange<O: SearchObserver, P: ProofSink>(workers: &mut [Worker<'_, O, P>]) {
 
 /// Free-running driver: one thread per worker (search and external),
 /// first finisher raises the stop flag; returns the winner index.
-fn run_free<O, P>(
-    workers: &mut [Worker<'_, O, P>],
+fn run_free<O: SearchObserver + Send>(
+    workers: &mut [Worker<'_, O>],
     externals: &mut [ExternalSlot<'_>],
     opts: &PortfolioOptions,
-) -> Option<usize>
-where
-    O: SearchObserver + Send,
-    P: ProofSink + Send,
-{
+) -> Option<usize> {
     let stop = Arc::new(AtomicBool::new(false));
     for w in workers.iter_mut() {
         w.solver.set_stop_flag(Arc::clone(&stop));
@@ -736,21 +717,23 @@ where
 // Entry points
 // ----------------------------------------------------------------------
 
-fn run_portfolio<'e, O, P>(
-    variants: &[Variant],
-    instruments: Vec<(O, P)>,
+/// Runs `variants` with one `(observer, optional log)` instrument pair
+/// each, racing `external_workers` beside them.
+fn run_portfolio<'v, 'e, O: SearchObserver + Send>(
+    variants: &'v [Variant],
+    instruments: Vec<(O, Option<&'v mut ProofLog>)>,
     external_workers: Vec<Box<dyn ExternalWorker + 'e>>,
     opts: &PortfolioOptions,
-) -> PortfolioOutcome
-where
-    O: SearchObserver + Send,
-    P: ProofSink + Send,
-{
+) -> PortfolioOutcome {
     assert!(
         !variants.is_empty() || !external_workers.is_empty(),
         "portfolio needs at least one worker"
     );
     assert_eq!(variants.len(), instruments.len());
+    // Sharing is disabled under proof logging (an imported constraint
+    // has no local derivation to certify) and pointless solo.
+    let proving = instruments.iter().any(|(_, proof)| proof.is_some());
+    let sharing = opts.share_len > 0 && !proving && variants.len() > 1;
     let mut externals: Vec<ExternalSlot<'e>> = external_workers
         .into_iter()
         .enumerate()
@@ -761,7 +744,7 @@ where
             steps: 0,
         })
         .collect();
-    let mut workers: Vec<Worker<'_, O, P>> = variants
+    let mut workers: Vec<Worker<'_, O>> = variants
         .iter()
         .zip(instruments)
         .enumerate()
@@ -769,7 +752,6 @@ where
             index,
             class: v.class,
             node_limit: v.config.node_limit,
-            conflict_limit: v.config.conflict_limit,
             solver: Solver::with_parts(&v.qbf, v.config.clone(), observer, proof),
             value: None,
             finished: false,
@@ -779,9 +761,6 @@ where
         })
         .collect();
 
-    // Sharing is disabled under proof logging (an imported constraint
-    // has no local derivation to certify) and pointless solo.
-    let sharing = opts.share_len > 0 && !P::ENABLED && workers.len() > 1;
     if sharing {
         let pool = Arc::new(SharePool::default());
         for w in workers.iter_mut() {
@@ -850,7 +829,7 @@ where
 /// (see `qbf_prenex::portfolio::roster`); every variant must share
 /// matrix and variable numbering with the others.
 pub fn solve(variants: &[Variant], opts: &PortfolioOptions) -> PortfolioOutcome {
-    let instruments = variants.iter().map(|_| (NoopObserver, NoProof)).collect();
+    let instruments = variants.iter().map(|_| (NoopObserver, None)).collect();
     run_portfolio(variants, instruments, Vec::new(), opts)
 }
 
@@ -866,7 +845,7 @@ pub fn solve_mixed<'e>(
     externals: Vec<Box<dyn ExternalWorker + 'e>>,
     opts: &PortfolioOptions,
 ) -> PortfolioOutcome {
-    let instruments = variants.iter().map(|_| (NoopObserver, NoProof)).collect();
+    let instruments = variants.iter().map(|_| (NoopObserver, None)).collect();
     run_portfolio(variants, instruments, externals, opts)
 }
 
@@ -878,8 +857,7 @@ pub fn solve_mixed<'e>(
 /// order the variant's prefix extends.
 pub fn solve_with_proof(variants: &[Variant], opts: &PortfolioOptions) -> PortfolioOutcome {
     let mut logs: Vec<ProofLog> = variants.iter().map(|_| ProofLog::new()).collect();
-    let instruments: Vec<(NoopObserver, &mut ProofLog)> =
-        logs.iter_mut().map(|l| (NoopObserver, l)).collect();
+    let instruments = logs.iter_mut().map(|l| (NoopObserver, Some(l))).collect();
     let mut outcome = run_portfolio(variants, instruments, Vec::new(), opts);
     if let Some(w) = outcome.winner {
         if logs[w].is_concluded() {
@@ -897,8 +875,7 @@ pub fn solve_with_metrics(variants: &[Variant], opts: &PortfolioOptions) -> Port
         .iter()
         .map(|_| EngineMetrics::new(WallClock::new()))
         .collect();
-    let instruments: Vec<(&mut EngineMetrics<WallClock>, NoProof)> =
-        recorders.iter_mut().map(|m| (m, NoProof)).collect();
+    let instruments = recorders.iter_mut().map(|m| (m, None)).collect();
     let mut outcome = run_portfolio(variants, instruments, Vec::new(), opts);
     for (report, recorder) in outcome.workers.iter_mut().zip(recorders.iter()) {
         report.metrics_json = Some(recorder.snapshot_json());

@@ -36,13 +36,19 @@
 //! Balabanov–Jiang side condition transplanted to the tree order);
 //! relevant-quantifier tautologies are always rejected.
 //!
-//! # Zero cost when disabled
+//! # Attaching a log
 //!
-//! [`Solver`](crate::solver::Solver) takes a [`ProofSink`] type parameter
-//! defaulting to [`NoProof`], whose `ENABLED = false` constant compiles
-//! every hook out — the same monomorphization pattern as
-//! [`SearchObserver`](crate::observe::SearchObserver). The bit-identical
-//! `Stats` guard lives in `tests/observe_integration.rs`.
+//! [`Solver`](crate::solver::Solver) holds an optional `&mut ProofLog`:
+//! [`Solver::with_proof`](crate::solver::Solver::with_proof) attaches one
+//! alone, [`Solver::with_parts`](crate::solver::Solver::with_parts) beside
+//! an observer. Each hook call in the engine sits behind one
+//! `if let Some(proof)` check. A runtime check suffices because no hook
+//! sits on the propagation path: they fire at conflicts, solutions,
+//! learning, decisions, backtracks and database reduction, and a run
+//! without a log pays one predictable branch at each. No search decision
+//! reads the log, so a logged run makes the same search as an unlogged
+//! one; the bit-identical `Stats` guard lives in
+//! `tests/observe_integration.rs`.
 //!
 //! # Determinism
 //!
@@ -56,157 +62,6 @@ use crate::prefix::Prefix;
 use crate::qbf::Qbf;
 use crate::var::Lit;
 
-/// The proof hooks called by the search engine.
-///
-/// All methods have empty defaults; a sink with `ENABLED = false` costs
-/// nothing (every call site is additionally guarded by
-/// `if P::ENABLED`). The hooks mirror the engine's analysis verbatim: a
-/// *chain* is opened at each conflict/solution, mutated in lockstep with
-/// the engine's working constraint, snapshotted by `chain_learn`, and
-/// closed either implicitly (search continues) or by `conclude`.
-pub trait ProofSink: std::fmt::Debug {
-    /// Whether this sink records anything. `false` compiles all hooks out.
-    const ENABLED: bool;
-
-    /// Called once before the search starts; writes the header.
-    fn begin(&mut self, _qbf: &Qbf) {}
-    /// Registers one original matrix clause, in matrix order.
-    fn on_original(&mut self, _token: u64) {}
-
-    /// Opens a chain from an existing constraint (original or learned).
-    fn chain_start(&mut self, _token: u64, _lits: &[Lit], _cube: bool) {}
-    /// Opens a cube chain from an implicant of the matrix.
-    fn chain_init_cube(&mut self, _lits: &[Lit]) {}
-    /// Resolves the working constraint with constraint `token` on `pivot`
-    /// (`pivot` is in the working constraint, `¬pivot` in the antecedent).
-    fn chain_resolve(&mut self, _prefix: &Prefix, _token: u64, _ant: &[Lit], _pivot: Lit) {}
-    /// Maximal ∀-reduction (∃-reduction for cubes) of the working
-    /// constraint under `≺`.
-    fn chain_reduce(&mut self, _prefix: &Prefix) {}
-    /// Removes exactly `lit` from the working constraint (a single
-    /// reduction step the engine has already proven legal).
-    fn chain_remove(&mut self, _prefix: &Prefix, _lit: Lit) {}
-    /// The engine stored the working constraint as learned constraint
-    /// `token` with literals `lits` (set-equal to the working constraint).
-    fn chain_learn(&mut self, _token: u64, _lits: &[Lit]) {}
-    /// A frame holding `assigned` is being popped during a terminal walk:
-    /// combine the working constraint with the frame's shadow refutation
-    /// (resolution or replacement), then reduce.
-    fn chain_absorb_frame(&mut self, _prefix: &Prefix, _assigned: Lit, _existential: bool) {}
-    /// Emits the conclusion record; the working constraint must be empty.
-    fn conclude(&mut self, _value: bool) {}
-
-    /// A plain (unflipped) decision frame was pushed.
-    fn frame_push(&mut self) {}
-    /// A flipped decision frame was pushed whose first branch is refuted
-    /// by the current working constraint (chronological flip).
-    fn frame_push_working(&mut self) {}
-    /// A flipped decision frame was pushed whose first branch is refuted
-    /// by constraint `token` (the engine's pseudo-reason).
-    fn frame_push_token(&mut self, _token: u64, _lits: &[Lit], _cube: bool) {}
-    /// The topmost decision frame was popped.
-    fn frame_pop(&mut self) {}
-
-    /// The solver forgot a learned constraint (database reduction).
-    fn on_delete(&mut self, _token: u64) {}
-    /// Arena compaction renamed constraint tokens: `(old, new)` pairs
-    /// covering every live constraint.
-    fn remap_tokens(&mut self, _pairs: &[(u64, u64)]) {}
-
-    /// Whether the working constraint currently contains `lit`.
-    fn working_contains(&self, _lit: Lit) -> bool {
-        false
-    }
-    /// `(proof_steps, proof_bytes, proof_dels)` so far.
-    fn proof_stats(&self) -> (u64, u64, u64) {
-        (0, 0, 0)
-    }
-}
-
-/// The zero-cost disabled sink (the default for `Solver`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoProof;
-
-impl ProofSink for NoProof {
-    const ENABLED: bool = false;
-}
-
-impl<P: ProofSink> ProofSink for &mut P {
-    const ENABLED: bool = P::ENABLED;
-    #[inline]
-    fn begin(&mut self, qbf: &Qbf) {
-        (**self).begin(qbf);
-    }
-    #[inline]
-    fn on_original(&mut self, token: u64) {
-        (**self).on_original(token);
-    }
-    #[inline]
-    fn chain_start(&mut self, token: u64, lits: &[Lit], cube: bool) {
-        (**self).chain_start(token, lits, cube);
-    }
-    #[inline]
-    fn chain_init_cube(&mut self, lits: &[Lit]) {
-        (**self).chain_init_cube(lits);
-    }
-    #[inline]
-    fn chain_resolve(&mut self, prefix: &Prefix, token: u64, ant: &[Lit], pivot: Lit) {
-        (**self).chain_resolve(prefix, token, ant, pivot);
-    }
-    #[inline]
-    fn chain_reduce(&mut self, prefix: &Prefix) {
-        (**self).chain_reduce(prefix);
-    }
-    #[inline]
-    fn chain_remove(&mut self, prefix: &Prefix, lit: Lit) {
-        (**self).chain_remove(prefix, lit);
-    }
-    #[inline]
-    fn chain_learn(&mut self, token: u64, lits: &[Lit]) {
-        (**self).chain_learn(token, lits);
-    }
-    #[inline]
-    fn chain_absorb_frame(&mut self, prefix: &Prefix, assigned: Lit, existential: bool) {
-        (**self).chain_absorb_frame(prefix, assigned, existential);
-    }
-    #[inline]
-    fn conclude(&mut self, value: bool) {
-        (**self).conclude(value);
-    }
-    #[inline]
-    fn frame_push(&mut self) {
-        (**self).frame_push();
-    }
-    #[inline]
-    fn frame_push_working(&mut self) {
-        (**self).frame_push_working();
-    }
-    #[inline]
-    fn frame_push_token(&mut self, token: u64, lits: &[Lit], cube: bool) {
-        (**self).frame_push_token(token, lits, cube);
-    }
-    #[inline]
-    fn frame_pop(&mut self) {
-        (**self).frame_pop();
-    }
-    #[inline]
-    fn on_delete(&mut self, token: u64) {
-        (**self).on_delete(token);
-    }
-    #[inline]
-    fn remap_tokens(&mut self, pairs: &[(u64, u64)]) {
-        (**self).remap_tokens(pairs);
-    }
-    #[inline]
-    fn working_contains(&self, lit: Lit) -> bool {
-        (**self).working_contains(lit)
-    }
-    #[inline]
-    fn proof_stats(&self) -> (u64, u64, u64) {
-        (**self).proof_stats()
-    }
-}
-
 /// A shadow refutation attached to a flipped decision frame: a derived
 /// proof line refuting the frame's *first* branch, kept as `(line id,
 /// literal snapshot)` so it stays usable after database reduction or
@@ -218,11 +73,11 @@ struct Shadow {
     cube: bool,
 }
 
-/// The concrete proof writer: accumulates the certificate in memory.
+/// The proof writer: accumulates the certificate in memory.
 ///
-/// Byte-deterministic: identical runs produce identical bytes. Retrieve
-/// the certificate with [`ProofLog::as_text`] after `solve()` (pass the
-/// log as `&mut` to keep ownership).
+/// Byte-deterministic: identical runs produce identical bytes. Attach it
+/// with `Solver::with_proof(qbf, config, &mut log)` and read the
+/// certificate with [`ProofLog::as_text`] after `solve()`.
 #[derive(Debug, Default)]
 pub struct ProofLog {
     buf: String,
@@ -322,10 +177,13 @@ impl ProofLog {
     }
 }
 
-impl ProofSink for ProofLog {
-    const ENABLED: bool = true;
-
-    fn begin(&mut self, qbf: &Qbf) {
+// The engine's hooks. They mirror its analysis verbatim: a *chain* is
+// opened at each conflict/solution, mutated in lockstep with the engine's
+// working constraint, snapshotted by `chain_learn`, and closed either
+// implicitly (search continues) or by `conclude`.
+impl ProofLog {
+    /// Called once before the search starts; writes the header.
+    pub(crate) fn begin(&mut self, qbf: &Qbf) {
         let (ph, mh) = instance_fingerprints(qbf);
         self.buf.push_str(&format!(
             "p qrp 1 {} {}\nh {ph:016x} {mh:016x}\n",
@@ -334,18 +192,21 @@ impl ProofSink for ProofLog {
         ));
     }
 
-    fn on_original(&mut self, token: u64) {
+    /// Registers one original matrix clause, in matrix order.
+    pub(crate) fn on_original(&mut self, token: u64) {
         let id = self.fresh_id();
         self.token_line.insert(token, id);
     }
 
-    fn chain_start(&mut self, token: u64, lits: &[Lit], cube: bool) {
+    /// Opens a chain from an existing constraint (original or learned).
+    pub(crate) fn chain_start(&mut self, token: u64, lits: &[Lit], cube: bool) {
         self.working = lits.to_vec();
         self.working_line = self.line_of(token);
         self.working_cube = cube;
     }
 
-    fn chain_init_cube(&mut self, lits: &[Lit]) {
+    /// Opens a cube chain from an implicant of the matrix.
+    pub(crate) fn chain_init_cube(&mut self, lits: &[Lit]) {
         self.working = lits.to_vec();
         self.working_cube = true;
         let id = self.fresh_id();
@@ -359,23 +220,31 @@ impl ProofSink for ProofLog {
         self.steps += 1;
     }
 
-    fn chain_resolve(&mut self, _prefix: &Prefix, token: u64, ant: &[Lit], pivot: Lit) {
+    /// Resolves the working constraint with constraint `token` on `pivot`
+    /// (`pivot` is in the working constraint, `¬pivot` in the antecedent).
+    pub(crate) fn chain_resolve(&mut self, token: u64, ant: &[Lit], pivot: Lit) {
         let line = self.line_of(token);
         self.resolve_with(line, ant, pivot);
     }
 
-    fn chain_reduce(&mut self, prefix: &Prefix) {
+    /// Maximal ∀-reduction (∃-reduction for cubes) of the working
+    /// constraint under `≺`.
+    pub(crate) fn chain_reduce(&mut self, prefix: &Prefix) {
         let removed = self.reducible(prefix);
         self.emit_reduction(&removed);
     }
 
-    fn chain_remove(&mut self, _prefix: &Prefix, lit: Lit) {
+    /// Removes exactly `lit` from the working constraint (a single
+    /// reduction step the engine has already proven legal).
+    pub(crate) fn chain_remove(&mut self, lit: Lit) {
         if self.working.contains(&lit) {
             self.emit_reduction(&[lit]);
         }
     }
 
-    fn chain_learn(&mut self, token: u64, lits: &[Lit]) {
+    /// The engine stored the working constraint as learned constraint
+    /// `token` with literals `lits` (set-equal to the working constraint).
+    pub(crate) fn chain_learn(&mut self, token: u64, lits: &[Lit]) {
         debug_assert_eq!(
             {
                 let mut a: Vec<i64> = self.working.iter().map(|l| l.to_dimacs()).collect();
@@ -402,7 +271,10 @@ impl ProofSink for ProofLog {
         self.steps += 1;
     }
 
-    fn chain_absorb_frame(&mut self, prefix: &Prefix, assigned: Lit, existential: bool) {
+    /// A frame holding `assigned` is being popped during a terminal walk:
+    /// combine the working constraint with the frame's shadow refutation
+    /// (resolution or replacement), then reduce.
+    pub(crate) fn chain_absorb_frame(&mut self, prefix: &Prefix, assigned: Lit, existential: bool) {
         // Only a decision of the working constraint's *relevant* kind can
         // carry a usable shadow (existential flips are refuted by clauses,
         // universal flips by cubes); irrelevant decisions are handled by
@@ -431,7 +303,8 @@ impl ProofSink for ProofLog {
         self.emit_reduction(&removed);
     }
 
-    fn conclude(&mut self, value: bool) {
+    /// Emits the conclusion record; the working constraint must be empty.
+    pub(crate) fn conclude(&mut self, value: bool) {
         debug_assert!(
             self.working.is_empty(),
             "proof: conclusion with a non-empty working constraint: {:?}",
@@ -443,11 +316,14 @@ impl ProofSink for ProofLog {
         self.concluded = true;
     }
 
-    fn frame_push(&mut self) {
+    /// A plain (unflipped) decision frame was pushed.
+    pub(crate) fn frame_push(&mut self) {
         self.shadows.push(None);
     }
 
-    fn frame_push_working(&mut self) {
+    /// A flipped decision frame was pushed whose first branch is refuted
+    /// by the current working constraint (chronological flip).
+    pub(crate) fn frame_push_working(&mut self) {
         self.shadows.push(Some(Shadow {
             line: self.working_line,
             lits: self.working.clone(),
@@ -455,7 +331,9 @@ impl ProofSink for ProofLog {
         }));
     }
 
-    fn frame_push_token(&mut self, token: u64, lits: &[Lit], cube: bool) {
+    /// A flipped decision frame was pushed whose first branch is refuted
+    /// by constraint `token` (the engine's pseudo-reason).
+    pub(crate) fn frame_push_token(&mut self, token: u64, lits: &[Lit], cube: bool) {
         self.shadows.push(Some(Shadow {
             line: self.line_of(token),
             lits: lits.to_vec(),
@@ -463,11 +341,13 @@ impl ProofSink for ProofLog {
         }));
     }
 
-    fn frame_pop(&mut self) {
+    /// The topmost decision frame was popped.
+    pub(crate) fn frame_pop(&mut self) {
         self.shadows.pop();
     }
 
-    fn on_delete(&mut self, token: u64) {
+    /// The solver forgot a learned constraint (database reduction).
+    pub(crate) fn on_delete(&mut self, token: u64) {
         if let Some(line) = self.token_line.remove(&token) {
             // A line still referenced by a live shadow (or by the parked
             // working chain) may yet appear as an antecedent; keep it
@@ -482,7 +362,9 @@ impl ProofSink for ProofLog {
         }
     }
 
-    fn remap_tokens(&mut self, pairs: &[(u64, u64)]) {
+    /// Arena compaction renamed constraint tokens: `(old, new)` pairs
+    /// covering every live constraint.
+    pub(crate) fn remap_tokens(&mut self, pairs: &[(u64, u64)]) {
         let mut remapped = HashMap::with_capacity(pairs.len());
         for &(old, new) in pairs {
             if let Some(line) = self.token_line.get(&old) {
@@ -492,11 +374,13 @@ impl ProofSink for ProofLog {
         self.token_line = remapped;
     }
 
-    fn working_contains(&self, lit: Lit) -> bool {
+    /// Whether the working constraint currently contains `lit`.
+    pub(crate) fn working_contains(&self, lit: Lit) -> bool {
         self.working.contains(&lit)
     }
 
-    fn proof_stats(&self) -> (u64, u64, u64) {
+    /// `(proof_steps, proof_bytes, proof_dels)` so far.
+    pub(crate) fn proof_stats(&self) -> (u64, u64, u64) {
         (self.steps, self.buf.len() as u64, self.dels)
     }
 }
@@ -602,11 +486,5 @@ mod tests {
             log.buf
         };
         assert_eq!(run(&qbf), run(&qbf));
-    }
-
-    #[test]
-    fn noproof_reports_disabled() {
-        const { assert!(!NoProof::ENABLED) };
-        const { assert!(!<&mut NoProof as ProofSink>::ENABLED) };
     }
 }

@@ -114,9 +114,9 @@ impl ConstraintRef {
         (self.0 & !CUBE_TAG) as usize
     }
 
-    /// Opaque identity handed to proof sinks (arena offset plus kind
+    /// Opaque identity handed to the proof log (arena offset plus kind
     /// tag). Stable until the constraint is deleted or the arena is
-    /// compacted — both events are reported to the sink, which keeps its
+    /// compacted — both events are reported to the log, which keeps its
     /// token → proof-line map in sync.
     #[inline]
     pub(crate) fn token(self) -> u64 {

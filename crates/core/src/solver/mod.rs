@@ -51,8 +51,6 @@ pub struct SolverConfig {
     /// Abort after this many assignments (decisions + propagations);
     /// the deterministic analogue of the paper's CPU-time timeout.
     pub node_limit: Option<u64>,
-    /// Abort after this many conflicts + solutions.
-    pub conflict_limit: Option<u64>,
     /// Start forgetting inactive learned constraints beyond this many.
     pub max_learned: usize,
     /// Halve heuristic scores every this many conflicts (the paper's
@@ -73,7 +71,6 @@ impl Default for SolverConfig {
             learning: true,
             pure_literals: true,
             node_limit: None,
-            conflict_limit: None,
             max_learned: 20_000,
             decay_interval: 256,
             compact_db: true,
@@ -248,12 +245,12 @@ stats_counters! {
     arena_bytes_reclaimed: Sum;
     /// Arena compaction passes run by database reduction.
     compactions: Sum;
-    /// Proof records emitted by the attached proof sink (`r`/`u`/`i`/`l`
+    /// Proof records emitted by the attached proof log (`r`/`u`/`i`/`l`
     /// derivation steps; 0 when proof logging is disabled).
     proof_steps: Sum;
-    /// Bytes of certificate text emitted by the attached proof sink.
+    /// Bytes of certificate text emitted by the attached proof log.
     proof_bytes: Sum;
-    /// `d` (constraint forgotten) records emitted by the proof sink.
+    /// `d` (constraint forgotten) records emitted by the proof log.
     proof_dels: Sum;
 }
 

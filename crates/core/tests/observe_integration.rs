@@ -271,7 +271,8 @@ fn metrics_do_not_perturb_the_search() {
 /// record it. Proof mode forces pure literals off and learning on, so
 /// the baseline uses the same effective configuration; every non-proof
 /// statistic must then be bit-identical, and the proof counters must be
-/// the only difference.
+/// the only difference. A log beside a live observer (`with_parts`) must
+/// write the same certificate, while the observer sees the same events.
 #[test]
 fn proof_logging_does_not_perturb_the_search() {
     for seed in 0..8u64 {
@@ -284,7 +285,20 @@ fn proof_logging_does_not_perturb_the_search() {
             };
             let plain = Solver::new(&qbf, config.clone()).solve();
             let mut log = ProofLog::new();
-            let proved = Solver::with_proof(&qbf, config, &mut log).solve();
+            let proved = Solver::with_proof(&qbf, config.clone(), &mut log).solve();
+            let mut profiler = Profiler::new(&qbf);
+            let mut observed_log = ProofLog::new();
+            let observed =
+                Solver::with_parts(&qbf, config, &mut profiler, Some(&mut observed_log)).solve();
+            assert_eq!(
+                log.as_text(),
+                observed_log.as_text(),
+                "an observer beside the log must leave the certificate unchanged (seed {seed})"
+            );
+            assert_eq!(proved.stats, observed.stats, "seed {seed}");
+            assert_eq!(profiler.decisions(), observed.stats.decisions, "seed {seed}");
+            assert_eq!(profiler.conflicts(), observed.stats.conflicts, "seed {seed}");
+            assert_eq!(profiler.solutions(), observed.stats.solutions, "seed {seed}");
             assert_eq!(plain.value(), proved.value());
             let mut masked = proved.stats;
             assert!(masked.proof_steps > 0, "proof run recorded steps (seed {seed})");

@@ -23,7 +23,8 @@
 //!   --proof[=FILE]     log a `qrp` Q-resolution/Q-consensus certificate
 //!                      (stderr with a `c ` prefix, or FILE when given);
 //!                      forces learning on and pure literals off, and is
-//!                      checkable with `qbfcheck INSTANCE FILE`
+//!                      checkable with `qbfcheck INSTANCE FILE`; refused
+//!                      together with `--preprocess`
 //!   --trace[=FILE]     Fig. 2-style indented search-tree trace
 //!                      (stderr, or FILE when given)
 //!   --trace-json[=FILE] JSONL event trace, one JSON object per event
@@ -297,10 +298,7 @@ fn search<O: SearchObserver>(
     observer: O,
     proof: Option<&mut ProofLog>,
 ) -> Outcome {
-    match proof {
-        Some(log) => Solver::with_parts(qbf, config, observer, log).solve(),
-        None => Solver::with_observer(qbf, config, observer).solve(),
-    }
+    Solver::with_parts(qbf, config, observer, proof).solve()
 }
 
 /// Runs the selected solver, reporting events to `multi` and phase
@@ -513,6 +511,16 @@ fn run_portfolio(qbf: &Qbf, opts: &Options) -> ExitCode {
 
 fn main() -> ExitCode {
     let opts = parse_args();
+    if opts.preprocess && opts.proof.is_some() {
+        // The log would certify the simplified instance, which `qbfcheck`
+        // rejects against the user's file: the preprocessor's steps are
+        // not logged.
+        eprintln!(
+            "error: --proof certifies the instance as given and --preprocess \
+             changes it first; drop one of them"
+        );
+        return ExitCode::from(1);
+    }
     let text = match read_input(&opts.file) {
         Ok(t) => t,
         Err(e) => {

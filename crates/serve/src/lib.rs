@@ -22,13 +22,13 @@
 //!
 //! # Metrics
 //!
-//! The server keeps a [`Registry`](qbf_core::metrics::Registry) of
+//! The server keeps a [`Registry`] of
 //! service metrics: query/error counters, cumulative per-`Stats`-counter
 //! totals, and log-bucketed per-query latency and assignment histograms.
 //! `{"cmd":"metrics"}` renders it in the Prometheus text exposition
 //! format (escaped into the one-line JSON reply); with
 //! `"format":"json"` the reply embeds a structured snapshot instead.
-//! Latencies come from the server's [`Clock`](qbf_core::metrics::Clock):
+//! Latencies come from the server's [`Clock`]:
 //! wall time in production, and a `ManualClock` under the binary's
 //! `--manual-clock` flag — under which every metrics artifact is
 //! byte-deterministic and CI replays a scripted session twice and `cmp`s
