@@ -378,25 +378,7 @@ impl<'a> Solver<'a> {
     pub fn new(qbf: &'a Qbf, config: SolverConfig) -> Self {
         Solver::with_parts(qbf, config, NoopObserver, None)
     }
-}
 
-impl<'a, O: SearchObserver> Solver<'a, O> {
-    /// Prepares a solver for the given QBF that reports every search
-    /// event to `observer`. Pass `&mut obs` to keep ownership of the
-    /// observer across [`Solver::solve`] (which consumes the solver).
-    pub fn with_observer(qbf: &'a Qbf, config: SolverConfig, observer: O) -> Self {
-        Solver::with_parts(qbf, config, observer, None)
-    }
-
-    /// The same as [`Solver::with_observer`]. An `EngineMetrics` recorder
-    /// is an ordinary observer; this name stays only because the
-    /// `perfbench` harness attaches its recorder through it.
-    pub fn with_metrics(qbf: &'a Qbf, config: SolverConfig, metrics: O) -> Self {
-        Solver::with_observer(qbf, config, metrics)
-    }
-}
-
-impl<'a> Solver<'a> {
     /// Prepares a solver that records a Q-resolution/Q-consensus
     /// certificate into `proof` (see [`crate::proof`]). The log stays
     /// the caller's: read it after [`Solver::solve`].
@@ -414,6 +396,20 @@ impl<'a> Solver<'a> {
 }
 
 impl<'a, O: SearchObserver> Solver<'a, O> {
+    /// Prepares a solver for the given QBF that reports every search
+    /// event to `observer`. Pass `&mut obs` to keep ownership of the
+    /// observer across [`Solver::solve`] (which consumes the solver).
+    pub fn with_observer(qbf: &'a Qbf, config: SolverConfig, observer: O) -> Self {
+        Solver::with_parts(qbf, config, observer, None)
+    }
+
+    /// The same as [`Solver::with_observer`]. An `EngineMetrics` recorder
+    /// is an ordinary observer; this name stays only because the
+    /// `perfbench` harness attaches its recorder through it.
+    pub fn with_metrics(qbf: &'a Qbf, config: SolverConfig, metrics: O) -> Self {
+        Solver::with_observer(qbf, config, metrics)
+    }
+
     /// Fully general constructor: an observer, and a certificate log when
     /// `proof` is `Some` (which pins the config as [`Solver::with_proof`]
     /// does).
