@@ -479,8 +479,8 @@ impl<O: SearchObserver> Worker<'_, O> {
     }
 
     /// Whether the worker's *hard* budget (its config's node limit, as
-    /// opposed to the driver's epoch pause point) is spent — mirrors the
-    /// engine's `budget_exhausted` comparison.
+    /// opposed to the epoch pause point of the lockstep loop) is spent —
+    /// mirrors the engine's `budget_exhausted` comparison.
     fn hard_budget_exhausted(&self) -> bool {
         self.node_limit
             .is_some_and(|limit| self.solver.current_stats().assignments() > limit)
