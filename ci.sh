@@ -339,6 +339,31 @@ grep -q "expand-po" target/expand-gate/x4.txt || {
     echo "ci.sh: expansion workers missing from the mixed transcript"; exit 1;
 }
 
+echo "==> portfolio exchange gate (lockstep sharing across epoch barriers)"
+# paper_example finishes inside the first epoch and imports nothing, so
+# the gates above never reach an exchange barrier. DIA gray<3>@n6 (true,
+# exit 10; written by the memory gate's `repro instances`) runs for many
+# 64-assignment epochs: the 1- and 4-thread transcripts must be equal,
+# with and without the expansion workers, and the workers must import
+# peer constraints (262 imports at the time of writing).
+for mode in "" "--portfolio-expand"; do
+    for n in 1 4; do
+        status=0
+        ./target/release/qbfsolve --po --budget 1200000 --deterministic --epoch 64 \
+            --portfolio $n $mode --portfolio-out target/portfolio-gate/gray$n.txt \
+            target/memory-gate/instances/dia_gray3_n6.qtree > /dev/null || status=$?
+        [ "$status" -eq 10 ] || {
+            echo "ci.sh: portfolio $n $mode on dia_gray3_n6 exited $status"; exit 1;
+        }
+    done
+    cmp target/portfolio-gate/gray1.txt target/portfolio-gate/gray4.txt
+    imported=$(grep -o 'imported=[0-9]*' target/portfolio-gate/gray4.txt | cut -d= -f2 \
+        | awk '{ s += $1 } END { print s + 0 }')
+    [ "$imported" -gt 0 ] || {
+        echo "ci.sh: portfolio $mode on dia_gray3_n6 imported no constraints"; exit 1;
+    }
+done
+
 echo "==> rustdoc (warnings denied)"
 # Broken or private intra-doc links and redundant link targets fail the
 # build of the API docs.

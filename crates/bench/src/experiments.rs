@@ -87,14 +87,10 @@ struct InstanceRuns {
     to: Vec<Measurement>,
 }
 
-/// Runs a suite of paired instances: PO once, TO once per strategy.
-pub fn run_suite(name: &str, instances: &[SuiteInstance], budget: u64, tie: Duration) -> SuiteResult {
-    run_suite_jobs(name, instances, budget, tie, 1)
-}
-
-/// [`run_suite`] with the instances fanned out across `jobs` worker
-/// threads. The solver is deterministic and aggregation happens in
-/// instance order, so everything derived from verdicts and [`qbf_core::solver::Stats`]
+/// Runs a suite of paired instances, PO once and TO once per strategy,
+/// with the instances fanned out across `jobs` worker threads. The
+/// solver is deterministic and aggregation happens in instance order, so
+/// everything derived from verdicts and [`qbf_core::solver::Stats`]
 /// (rows, pairs, `BENCH_qbf.json`) is byte-identical for any `jobs`; only
 /// the measured wall-clock times differ.
 pub fn run_suite_jobs(
@@ -302,13 +298,8 @@ pub fn dia_curve(model: &SymbolicModel, budget: u64, max_n: u32, with_bfs: bool)
 }
 
 /// The DIA suite as Table I row + Fig. 5 pairs: each (model, n) probe is
-/// one instance.
-pub fn dia_suite_result(scale: Scale) -> (SuiteResult, Vec<ScalingCurve>) {
-    dia_suite_result_jobs(scale, 1)
-}
-
-/// [`dia_suite_result`] with the models fanned out across `jobs` worker
-/// threads; curves and telemetry are aggregated in model order.
+/// one instance. The models fan out across `jobs` worker threads; curves
+/// and telemetry are aggregated in model order.
 pub fn dia_suite_result_jobs(scale: Scale, jobs: usize) -> (SuiteResult, Vec<ScalingCurve>) {
     let budget = scale.dia_budget();
     let max_n = scale.dia_max_n();
@@ -420,42 +411,26 @@ pub fn render_learned(result: &SuiteResult) -> String {
     out
 }
 
-/// Runs the NCF experiment (Table I rows 1–4 + Fig. 3 data).
-pub fn ncf_result(scale: Scale) -> SuiteResult {
-    ncf_result_jobs(scale, 1)
-}
-
-/// [`ncf_result`] on `jobs` worker threads.
+/// Runs the NCF experiment (Table I rows 1–4 + Fig. 3 data) on `jobs`
+/// worker threads.
 pub fn ncf_result_jobs(scale: Scale, jobs: usize) -> SuiteResult {
     run_suite_jobs("NCF", &suites::ncf_suite(scale), scale.budget(), scale.tie(), jobs)
 }
 
-/// Runs the FPV experiment (Table I row 5 + Fig. 4 data).
-pub fn fpv_result(scale: Scale) -> SuiteResult {
-    fpv_result_jobs(scale, 1)
-}
-
-/// [`fpv_result`] on `jobs` worker threads.
+/// Runs the FPV experiment (Table I row 5 + Fig. 4 data) on `jobs`
+/// worker threads.
 pub fn fpv_result_jobs(scale: Scale, jobs: usize) -> SuiteResult {
     run_suite_jobs("FPV", &suites::fpv_suite(scale), scale.budget(), scale.tie(), jobs)
 }
 
-/// Runs the PROB experiment (Table I row 7 + Fig. 7 data).
-pub fn prob_result(scale: Scale) -> SuiteResult {
-    prob_result_jobs(scale, 1)
-}
-
-/// [`prob_result`] on `jobs` worker threads.
+/// Runs the PROB experiment (Table I row 7 + Fig. 7 data) on `jobs`
+/// worker threads.
 pub fn prob_result_jobs(scale: Scale, jobs: usize) -> SuiteResult {
     run_suite_jobs("PROB", &suites::prob_suite(scale), scale.budget(), scale.tie(), jobs)
 }
 
-/// Runs the FIXED experiment (Table I row 8 + Fig. 7 data).
-pub fn fixed_result(scale: Scale) -> SuiteResult {
-    fixed_result_jobs(scale, 1)
-}
-
-/// [`fixed_result`] on `jobs` worker threads.
+/// Runs the FIXED experiment (Table I row 8 + Fig. 7 data) on `jobs`
+/// worker threads.
 pub fn fixed_result_jobs(scale: Scale, jobs: usize) -> SuiteResult {
     run_suite_jobs("FIXED", &suites::fixed_suite(scale), scale.budget(), scale.tie(), jobs)
 }
@@ -620,7 +595,7 @@ mod tests {
 
     #[test]
     fn tiny_suite_run() {
-        // A micro NCF suite to exercise run_suite end to end.
+        // A micro NCF suite to exercise run_suite_jobs end to end.
         let params = qbf_gen::NcfParams {
             dep: 3,
             var: 1,
@@ -642,7 +617,7 @@ mod tests {
                 }
             })
             .collect();
-        let result = run_suite("micro", &instances, 100_000, Duration::from_millis(5));
+        let result = run_suite_jobs("micro", &instances, 100_000, Duration::from_millis(5), 1);
         assert_eq!(result.rows.len(), 4);
         assert_eq!(result.pairs.len(), 3);
         assert_eq!(result.medians.len(), 1);

@@ -89,19 +89,29 @@ impl Json {
 
 /// Escapes a string for embedding between double quotes in JSON output.
 /// Shared by the telemetry writers so writer and reader agree.
+///
+/// Unescaped byte runs are copied whole. Every byte that needs an
+/// escape is ASCII, and no UTF-8 sequence contains an ASCII byte, so
+/// each run starts and ends on a `char` boundary.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => out.push_str(&format!("\\u{b:04x}")),
         }
     }
+    out.push_str(&s[run..]);
     out
 }
 
@@ -421,6 +431,50 @@ mod tests {
         );
         assert!(parse(&objects(MAX_DEPTH)).is_ok());
         assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+    }
+
+    /// The char-at-a-time loop `escape` replaced, kept as its reference.
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn escape_matches_the_char_loop() {
+        let fixed = [
+            "", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1}", "\u{1f}", "\u{7f}", "é", "€",
+            "𝄞", "a\"b\\c\nd", "é\u{1}€\t𝄞\"",
+        ];
+        for s in fixed {
+            assert_eq!(escape(s), escape_by_char(s), "input {s:?}");
+        }
+        // Seeded random mixes of the inputs above and arbitrary chars.
+        let alphabet = [
+            '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{1f}', '\u{7f}', 'a', ' ', 'é',
+            '€', '𝄞',
+        ];
+        let mut rng = qbf_gen::rng::Rng::seed_from_u64(0x6a73_6f6e);
+        for _ in 0..2000 {
+            let len = rng.gen_range(0..24);
+            let s: String = (0..len)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => char::from_u32(rng.gen_range(0..0x11_0000) as u32).unwrap_or('\u{fffd}'),
+                    _ => alphabet[rng.gen_range(0..alphabet.len())],
+                })
+                .collect();
+            assert_eq!(escape(&s), escape_by_char(&s), "input {s:?}");
+        }
     }
 
     #[test]

@@ -25,18 +25,29 @@
 //! [`compatible`]: same prefix imports from same prefix, and the partial
 //! order imports from everybody; distinct total orders never exchange.
 //!
+//! # One worker interface
+//!
+//! Both drivers step every worker — a search variant's [`Solver`] or a
+//! boxed [`ExternalWorker`] such as the expansion engine — through one
+//! private trait whose single `advance(bound, stop)` either pauses at
+//! an absolute bound in the worker's own cost metric (lockstep epochs)
+//! or runs until the race's stop flag is raised. Each driver therefore
+//! has one code path for every worker, and one place builds the
+//! [`WorkerReport`]s.
+//!
 //! # Determinism model
 //!
 //! `deterministic: true` runs the *fixed* canonical roster in lockstep
-//! epochs: every live worker advances to the same shared
-//! `Stats.assignments` bound, the drivers barrier, outboxes are
-//! exchanged in worker-index order, and the winner is the lowest-index
-//! finisher of the earliest finishing epoch. Thread count then only
-//! controls how epochs are executed, never what is computed, so verdict,
-//! winner and every per-worker [`Stats`] are byte-reproducible for any
-//! `--portfolio N` ([`PortfolioOutcome::transcript`]). Free-running mode
-//! races one thread per variant wall-clock style and is only
-//! verdict-stable.
+//! epochs: every live worker advances to the same shared bound, the
+//! drivers barrier, the barrier publishes each outbox into the share
+//! pool in worker-index order and stages the batch into every live
+//! worker with the same poll the free race uses, and the winner is the
+//! lowest-index finisher of the earliest finishing epoch. Thread count
+//! then only controls how epochs are executed, never what is computed,
+//! so verdict, winner and every per-worker [`Stats`] are
+//! byte-reproducible for any `--portfolio N`
+//! ([`PortfolioOutcome::transcript`]). Free-running mode races one
+//! thread per variant wall-clock style and is only verdict-stable.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -158,10 +169,10 @@ pub struct WorkerReport {
     /// Per-worker metrics snapshot (only from
     /// [`solve_with_metrics`]).
     pub metrics_json: Option<String>,
-    /// For external (non-search) workers: their own deterministic stat
-    /// fields, printed in the transcript in place of the search
-    /// [`Stats`] line.
-    pub engine_fields: Option<Vec<(&'static str, u64)>>,
+    /// The worker's deterministic `(name, value)` counters as the
+    /// transcript prints them: the search [`Stats`] fields, or an
+    /// external engine's own counters.
+    pub fields: Vec<(&'static str, u64)>,
 }
 
 /// The outcome of a portfolio run.
@@ -221,17 +232,8 @@ impl PortfolioOutcome {
                 u8::from(w.finished),
                 u8::from(w.panicked),
             ));
-            match &w.engine_fields {
-                Some(fields) => {
-                    for &(name, v) in fields {
-                        out.push_str(&format!(" {name}={v}"));
-                    }
-                }
-                None => {
-                    for (name, v) in w.stats.fields() {
-                        out.push_str(&format!(" {name}={v}"));
-                    }
-                }
+            for &(name, v) in &w.fields {
+                out.push_str(&format!(" {name}={v}"));
             }
             out.push_str(&format!(
                 " exported={} imported={} discarded={}\n",
@@ -243,7 +245,7 @@ impl PortfolioOutcome {
 }
 
 // ----------------------------------------------------------------------
-// The share pool (free-running mode) and per-worker connections
+// The share pool and per-worker connections
 // ----------------------------------------------------------------------
 
 /// One published constraint.
@@ -255,9 +257,11 @@ pub(crate) struct ShareEntry {
     lits: Vec<Lit>,
 }
 
-/// Free-running mode's lock-protected generation buffer: an append-only
+/// The lock-protected generation buffer of both drivers: an append-only
 /// log of published constraints plus an atomic generation counter so
-/// importers can skip the lock when nothing new arrived.
+/// importers can skip the lock when nothing new arrived. Free-running
+/// workers publish as they learn; the lockstep barrier publishes each
+/// epoch's outboxes in worker-index order.
 #[derive(Debug, Default)]
 pub(crate) struct SharePool {
     generation: AtomicUsize,
@@ -265,9 +269,9 @@ pub(crate) struct SharePool {
 }
 
 impl SharePool {
-    fn publish(&self, entry: ShareEntry) {
+    fn publish(&self, batch: impl IntoIterator<Item = ShareEntry>) {
         let mut entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
-        entries.push(entry);
+        entries.extend(batch);
         // Publish the new length *while holding the lock* so a reader
         // that observes generation `g` always finds `g` entries.
         self.generation.store(entries.len(), Ordering::Release);
@@ -275,10 +279,9 @@ impl SharePool {
 }
 
 /// A worker's private endpoint of the sharing layer, owned by its
-/// [`Solver`]. Exports flow through `offer` (learn-time), imports are
-/// staged into `staged` — by `poll` (free-running, reading the pool) or
-/// by the deterministic driver's exchange barrier — and drained by the
-/// engine at decision boundaries via `take_staged`.
+/// [`Solver`]. Exports flow through `offer` (learn-time); `poll` stages
+/// unseen pool entries into `staged`, and the engine drains them at
+/// decision boundaries via `take_staged`.
 #[derive(Debug)]
 pub(crate) struct ShareConn {
     pool: Arc<SharePool>,
@@ -286,10 +289,10 @@ pub(crate) struct ShareConn {
     class: ShareClass,
     max_len: usize,
     deterministic: bool,
-    /// Index of the next unseen pool entry (free-running mode).
+    /// Index of the next unseen pool entry.
     cursor: usize,
     /// Deterministic mode: exports buffered until the epoch barrier.
-    outbox: Vec<(Vec<Lit>, bool)>,
+    outbox: Vec<ShareEntry>,
     /// Imports staged for the next decision-boundary drain.
     staged: VecDeque<(Vec<Lit>, bool)>,
     pub(crate) exported: u64,
@@ -327,25 +330,24 @@ impl ShareConn {
             return;
         }
         self.exported += 1;
+        let entry = ShareEntry {
+            from: self.worker,
+            class: self.class,
+            cube,
+            lits: lits.to_vec(),
+        };
         if self.deterministic {
-            self.outbox.push((lits.to_vec(), cube));
+            self.outbox.push(entry);
         } else {
-            self.pool.publish(ShareEntry {
-                from: self.worker,
-                class: self.class,
-                cube,
-                lits: lits.to_vec(),
-            });
+            self.pool.publish([entry]);
         }
     }
 
-    /// Free-running import: pulls every unseen pool entry through the
-    /// compatibility filter into the staging queue. No-op in
-    /// deterministic mode (the barrier stages batches instead).
+    /// Pulls every unseen pool entry through the compatibility filter
+    /// into the staging queue. The engine polls at decision boundaries;
+    /// in deterministic mode the pool grows only at the epoch barrier,
+    /// which polls every live worker itself.
     pub(crate) fn poll(&mut self) {
-        if self.deterministic {
-            return;
-        }
         if self.pool.generation.load(Ordering::Acquire) == self.cursor {
             return;
         }
@@ -372,30 +374,10 @@ impl ShareConn {
         }
         next
     }
-
-    /// Deterministic barrier: drains this worker's epoch outbox.
-    fn take_outbox(&mut self) -> Vec<(Vec<Lit>, bool)> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Deterministic barrier: stages a full epoch batch (in publication
-    /// order) through the compatibility filter.
-    fn stage_batch(&mut self, batch: &[ShareEntry]) {
-        for e in batch {
-            if e.from == self.worker {
-                continue;
-            }
-            if compatible(e.class, self.class) {
-                self.staged.push_back((e.lits.clone(), e.cube));
-            } else {
-                self.discarded += 1;
-            }
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
-// External (cross-paradigm) workers
+// Workers
 // ----------------------------------------------------------------------
 
 /// A non-search decision procedure raced inside the portfolio — e.g.
@@ -405,34 +387,26 @@ impl ShareConn {
 /// about Q-resolution/Q-consensus derivations and does not cross
 /// paradigms, so external workers neither export nor import.
 ///
-/// The lockstep contract mirrors the search workers': [`step_to`]
-/// advances the engine to an *absolute* bound in the engine's own
-/// deterministic cost metric (for the expansion engine, SAT decisions
-/// plus propagations; for search, `Stats.assignments`), so repeated
-/// runs with the same epoch length replay byte-identically even though
-/// the metrics differ across paradigms.
+/// Both drivers call [`advance`], exactly as they advance a search
+/// worker. The lockstep driver passes an *absolute* epoch bound in the
+/// engine's own deterministic cost metric (for the expansion engine,
+/// SAT decisions plus propagations; for search, `Stats.assignments`),
+/// so repeated runs with the same epoch length replay byte-identically
+/// even though the metrics differ across paradigms. The free race
+/// passes the stop flag that the first finisher raises.
 ///
-/// [`step_to`]: ExternalWorker::step_to
+/// [`advance`]: ExternalWorker::advance
 pub trait ExternalWorker: Send {
     /// Stable label for transcripts and reports.
     fn label(&self) -> &str;
 
-    /// Deterministic mode: advance until the engine's cost metric
-    /// reaches `bound`, the engine decides, or its own configured
-    /// budget runs out.
-    fn step_to(&mut self, bound: u64);
-
-    /// Free-running mode: run until decided, budget-exhausted, or
-    /// `stop` is raised (checked at the engine's decision boundaries).
-    fn run(&mut self, stop: &AtomicBool);
+    /// Advances until the engine decides, its own configured budget runs
+    /// out, its cost metric reaches `bound`, or `stop` is raised
+    /// (checked at the engine's decision boundaries).
+    fn advance(&mut self, bound: Option<u64>, stop: Option<&AtomicBool>);
 
     /// The verdict, if the engine reached one.
     fn value(&self) -> Option<bool>;
-
-    /// Whether the engine decided the instance.
-    fn finished(&self) -> bool {
-        self.value().is_some()
-    }
 
     /// Whether the engine exhausted its *own* configured budget (as
     /// opposed to pausing at a driver epoch bound).
@@ -443,62 +417,135 @@ pub trait ExternalWorker: Send {
     fn stat_fields(&self) -> Vec<(&'static str, u64)>;
 }
 
-/// Driver-side state wrapped around one boxed external worker.
-struct ExternalSlot<'e> {
+/// What both drivers ask of a worker, search variant and external
+/// engine alike. Private because a search worker exposes its
+/// crate-private [`ShareConn`] to the epoch barrier.
+trait Worker: Send {
+    /// Advances until the worker decides, its own budget runs out, its
+    /// cost metric reaches the absolute `bound` (lockstep epochs), or
+    /// `stop` is raised (the free race).
+    fn advance(&mut self, bound: Option<u64>, stop: Option<&Arc<AtomicBool>>);
+    fn label(&self) -> &str;
+    fn value(&self) -> Option<bool>;
+    /// Whether the worker's own budget is spent without a verdict.
+    fn timed_out(&self) -> bool;
+    /// The search statistics (zero for an external engine).
+    fn stats(&self) -> Stats {
+        Stats::default()
+    }
+    /// The counters of the worker's transcript line.
+    fn fields(&self) -> Vec<(&'static str, u64)> {
+        self.stats().fields().to_vec()
+    }
+    fn share(&mut self) -> Option<&mut ShareConn> {
+        None
+    }
+}
+
+/// One search variant's solver as a portfolio worker.
+struct Search<'v, O: SearchObserver> {
+    label: &'v str,
+    node_limit: Option<u64>,
+    solver: Solver<'v, O>,
+    value: Option<bool>,
+    timed_out: bool,
+}
+
+impl<O: SearchObserver + Send> Worker for Search<'_, O> {
+    fn advance(&mut self, bound: Option<u64>, stop: Option<&Arc<AtomicBool>>) {
+        self.solver.set_epoch_limit(bound);
+        if let Some(stop) = stop {
+            self.solver.set_stop_flag(Arc::clone(stop));
+        }
+        self.value = self.solver.solve_mut().value();
+        // The hard budget is the config's node limit, compared as the
+        // engine compares it; an epoch pause or a stop is not a timeout.
+        let spent = self.solver.current_stats().assignments();
+        self.timed_out = self.value.is_none() && self.node_limit.is_some_and(|limit| spent > limit);
+    }
+
+    fn label(&self) -> &str {
+        self.label
+    }
+
+    fn value(&self) -> Option<bool> {
+        self.value
+    }
+
+    fn timed_out(&self) -> bool {
+        self.timed_out
+    }
+
+    fn stats(&self) -> Stats {
+        self.solver.current_stats()
+    }
+
+    fn share(&mut self) -> Option<&mut ShareConn> {
+        self.solver.share_conn_mut()
+    }
+}
+
+impl Worker for Box<dyn ExternalWorker + '_> {
+    fn advance(&mut self, bound: Option<u64>, stop: Option<&Arc<AtomicBool>>) {
+        ExternalWorker::advance(&mut **self, bound, stop.map(|s| &**s));
+    }
+
+    fn label(&self) -> &str {
+        ExternalWorker::label(&**self)
+    }
+
+    fn value(&self) -> Option<bool> {
+        ExternalWorker::value(&**self)
+    }
+
+    fn timed_out(&self) -> bool {
+        ExternalWorker::timed_out(&**self)
+    }
+
+    fn fields(&self) -> Vec<(&'static str, u64)> {
+        self.stat_fields()
+    }
+}
+
+/// Driver-side state of one worker.
+struct Slot<'w> {
+    /// Global index: the search roster first, externals after.
     index: usize,
-    worker: Box<dyn ExternalWorker + 'e>,
+    worker: Box<dyn Worker + 'w>,
     panicked: bool,
     steps: u64,
 }
 
-impl ExternalSlot<'_> {
+impl Slot<'_> {
+    fn finished(&self) -> bool {
+        !self.panicked && self.worker.value().is_some()
+    }
+
     fn live(&self) -> bool {
-        !self.panicked && !self.worker.finished() && !self.worker.timed_out()
+        !self.panicked && self.worker.value().is_none() && !self.worker.timed_out()
+    }
+
+    /// One driver step with the worker's panics contained; the
+    /// `debug_panic_worker` hook fires on the worker's first step.
+    fn step(&mut self, bound: Option<u64>, stop: Option<&Arc<AtomicBool>>, inject: Option<usize>) {
+        let inject = self.steps == 0 && inject == Some(self.index);
+        self.steps += 1;
+        let (index, worker) = (self.index, &mut self.worker);
+        let stepped = catch_unwind(AssertUnwindSafe(|| {
+            if inject {
+                panic!("injected portfolio panic (worker {index})");
+            }
+            worker.advance(bound, stop);
+        }));
+        if stepped.is_err() {
+            self.panicked = true;
+        }
     }
 }
 
 // ----------------------------------------------------------------------
 // The drivers
 // ----------------------------------------------------------------------
-
-struct Worker<'v, O: SearchObserver> {
-    index: usize,
-    class: ShareClass,
-    node_limit: Option<u64>,
-    solver: Solver<'v, O>,
-    value: Option<bool>,
-    finished: bool,
-    timed_out: bool,
-    panicked: bool,
-    steps: u64,
-}
-
-impl<O: SearchObserver> Worker<'_, O> {
-    fn live(&self) -> bool {
-        !self.finished && !self.timed_out && !self.panicked
-    }
-
-    /// Whether the worker's *hard* budget (its config's node limit, as
-    /// opposed to the epoch pause point of the lockstep loop) is spent —
-    /// mirrors the engine's `budget_exhausted` comparison.
-    fn hard_budget_exhausted(&self) -> bool {
-        self.node_limit
-            .is_some_and(|limit| self.solver.current_stats().assignments() > limit)
-    }
-
-    /// Advances the search to the shared epoch bound, recording a
-    /// verdict or budget exhaustion.
-    fn step_to(&mut self, epoch_end: u64) {
-        self.solver.set_epoch_limit(Some(epoch_end));
-        let out = self.solver.solve_mut();
-        if let Some(v) = out.value() {
-            self.value = Some(v);
-            self.finished = true;
-        } else if self.hard_budget_exhausted() {
-            self.timed_out = true;
-        }
-    }
-}
 
 /// Distributes `jobs` over up to `threads` scoped worker threads via an
 /// atomic work index (the `repro --jobs` idiom). `f` must not panic —
@@ -530,183 +577,63 @@ fn run_parallel<J: Send, F: Fn(J) + Sync>(jobs: Vec<J>, threads: usize, f: F) {
     });
 }
 
-/// One schedulable unit of the deterministic driver: a search worker or
-/// an external engine.
-enum Job<'w, 'v, 'e, O: SearchObserver> {
-    Search(&'w mut Worker<'v, O>),
-    External(&'w mut ExternalSlot<'e>),
-}
-
-/// Deterministic lockstep driver; returns the winner index (global:
-/// search workers first, externals after). Each worker interprets the
-/// shared epoch bound in its own cost metric, so the lockstep stays
-/// byte-reproducible across thread counts and repeated runs.
-fn run_deterministic<O: SearchObserver + Send>(
-    workers: &mut [Worker<'_, O>],
-    externals: &mut [ExternalSlot<'_>],
-    opts: &PortfolioOptions,
-) -> Option<usize> {
+/// Deterministic lockstep driver; returns the winner index. Each worker
+/// interprets the shared epoch bound in its own cost metric, so the
+/// lockstep stays byte-reproducible across thread counts and repeated
+/// runs.
+fn run_deterministic(slots: &mut [Slot<'_>], opts: &PortfolioOptions) -> Option<usize> {
     let epoch = opts.epoch.max(1);
-    let inject = opts.debug_panic_worker;
     let mut epoch_end = epoch;
     loop {
-        let live: Vec<Job<'_, '_, '_, O>> = workers
-            .iter_mut()
-            .filter(|w| w.live())
-            .map(Job::Search)
-            .chain(externals.iter_mut().filter(|e| e.live()).map(Job::External))
-            .collect();
+        let live: Vec<&mut Slot<'_>> = slots.iter_mut().filter(|s| s.live()).collect();
         if live.is_empty() {
             return None;
         }
-        run_parallel(live, opts.threads, |job| match job {
-            Job::Search(w) => {
-                let first_step = w.steps == 0;
-                w.steps += 1;
-                let stepped = catch_unwind(AssertUnwindSafe(|| {
-                    if first_step && inject == Some(w.index) {
-                        panic!("injected portfolio panic (worker {})", w.index);
-                    }
-                    w.step_to(epoch_end);
-                }));
-                if stepped.is_err() {
-                    w.panicked = true;
-                }
-            }
-            Job::External(e) => {
-                let first_step = e.steps == 0;
-                e.steps += 1;
-                let index = e.index;
-                let stepped = catch_unwind(AssertUnwindSafe(|| {
-                    if first_step && inject == Some(index) {
-                        panic!("injected portfolio panic (worker {index})");
-                    }
-                    e.worker.step_to(epoch_end);
-                }));
-                if stepped.is_err() {
-                    e.panicked = true;
-                }
-            }
+        run_parallel(live, opts.threads, |s| {
+            s.step(Some(epoch_end), None, opts.debug_panic_worker);
         });
-        if workers.iter().any(|w| w.finished)
-            || externals.iter().any(|e| !e.panicked && e.worker.finished())
-        {
-            // Fixed tie-break: the lowest-index finisher of the earliest
-            // finishing epoch wins (all finishers of one epoch are known
-            // here, thanks to the barrier). Externals sit after the
-            // search roster in the global index order.
-            return workers
-                .iter()
-                .position(|w| w.finished)
-                .or_else(|| {
-                    externals
-                        .iter()
-                        .position(|e| !e.panicked && e.worker.finished())
-                        .map(|i| workers.len() + i)
-                });
+        // Fixed tie-break: the lowest-index finisher of the earliest
+        // finishing epoch wins (all finishers of one epoch are known
+        // here, thanks to the barrier).
+        if let Some(winner) = slots.iter().position(Slot::finished) {
+            return Some(winner);
         }
-        exchange(workers);
+        exchange(slots);
         epoch_end += epoch;
     }
 }
 
-/// Deterministic epoch barrier: collects every worker's outbox in
-/// worker-index order into one batch and stages it into each live
-/// worker's connection.
-fn exchange<O: SearchObserver>(workers: &mut [Worker<'_, O>]) {
-    let mut batch: Vec<ShareEntry> = Vec::new();
-    for w in workers.iter_mut() {
-        let (from, class) = (w.index, w.class);
-        if let Some(conn) = w.solver.share_conn_mut() {
-            for (lits, cube) in conn.take_outbox() {
-                batch.push(ShareEntry { from, class, cube, lits });
-            }
+/// Deterministic epoch barrier: publishes every worker's outbox into the
+/// pool in worker-index order, then stages the batch into each live
+/// worker with the same `poll` the free race uses.
+fn exchange(slots: &mut [Slot<'_>]) {
+    for s in slots.iter_mut() {
+        if let Some(conn) = s.worker.share() {
+            conn.pool.publish(conn.outbox.drain(..));
         }
     }
-    if batch.is_empty() {
-        return;
-    }
-    for w in workers.iter_mut() {
-        if !w.live() {
-            continue;
-        }
-        if let Some(conn) = w.solver.share_conn_mut() {
-            conn.stage_batch(&batch);
+    for s in slots.iter_mut().filter(|s| s.live()) {
+        if let Some(conn) = s.worker.share() {
+            conn.poll();
         }
     }
 }
 
-/// Free-running driver: one thread per worker (search and external),
-/// first finisher raises the stop flag; returns the winner index.
-fn run_free<O: SearchObserver + Send>(
-    workers: &mut [Worker<'_, O>],
-    externals: &mut [ExternalSlot<'_>],
-    opts: &PortfolioOptions,
-) -> Option<usize> {
+/// Free-running driver: one thread per worker, the first finisher
+/// raises the stop flag; returns the winner index.
+fn run_free(slots: &mut [Slot<'_>], opts: &PortfolioOptions) -> Option<usize> {
     let stop = Arc::new(AtomicBool::new(false));
-    for w in workers.iter_mut() {
-        w.solver.set_stop_flag(Arc::clone(&stop));
-    }
     let first = Mutex::new(None::<usize>);
-    let inject = opts.debug_panic_worker;
     thread::scope(|scope| {
-        for w in workers.iter_mut() {
+        for s in slots.iter_mut() {
             let (stop, first) = (&stop, &first);
             scope.spawn(move || {
-                let index = w.index;
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    if inject == Some(index) {
-                        panic!("injected portfolio panic (worker {index})");
-                    }
-                    w.solver.solve_mut()
-                }));
-                match result {
-                    Ok(out) => {
-                        if let Some(v) = out.value() {
-                            w.value = Some(v);
-                            w.finished = true;
-                            let mut g =
-                                first.lock().unwrap_or_else(PoisonError::into_inner);
-                            if g.is_none() {
-                                *g = Some(index);
-                            }
-                            drop(g);
-                            stop.store(true, Ordering::SeqCst);
-                        } else if w.hard_budget_exhausted() {
-                            w.timed_out = true;
-                        }
-                        // Otherwise: cancelled by the winner's stop flag.
-                    }
-                    Err(_) => w.panicked = true,
+                s.step(None, Some(stop), opts.debug_panic_worker);
+                if s.finished() {
+                    first.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(s.index);
+                    stop.store(true, Ordering::SeqCst);
                 }
-            });
-        }
-        for e in externals.iter_mut() {
-            let (stop, first) = (&stop, &first);
-            scope.spawn(move || {
-                let index = e.index;
-                let worker = &mut e.worker;
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    if inject == Some(index) {
-                        panic!("injected portfolio panic (worker {index})");
-                    }
-                    worker.run(stop);
-                }));
-                match result {
-                    Ok(()) => {
-                        if e.worker.finished() {
-                            let mut g =
-                                first.lock().unwrap_or_else(PoisonError::into_inner);
-                            if g.is_none() {
-                                *g = Some(index);
-                            }
-                            drop(g);
-                            stop.store(true, Ordering::SeqCst);
-                        }
-                        // Else: own budget exhausted, or cancelled.
-                    }
-                    Err(_) => e.panicked = true,
-                }
+                // Otherwise: own budget exhausted, cancelled, or panicked.
             });
         }
     });
@@ -718,15 +645,15 @@ fn run_free<O: SearchObserver + Send>(
 // ----------------------------------------------------------------------
 
 /// Runs `variants` with one `(observer, optional log)` instrument pair
-/// each, racing `external_workers` beside them.
-fn run_portfolio<'v, 'e, O: SearchObserver + Send>(
-    variants: &'v [Variant],
-    instruments: Vec<(O, Option<&'v mut ProofLog>)>,
-    external_workers: Vec<Box<dyn ExternalWorker + 'e>>,
+/// each, racing `externals` beside them.
+fn run_portfolio<'w, O: SearchObserver + Send + 'w>(
+    variants: &'w [Variant],
+    instruments: Vec<(O, Option<&'w mut ProofLog>)>,
+    externals: Vec<Box<dyn ExternalWorker + 'w>>,
     opts: &PortfolioOptions,
 ) -> PortfolioOutcome {
     assert!(
-        !variants.is_empty() || !external_workers.is_empty(),
+        !variants.is_empty() || !externals.is_empty(),
         "portfolio needs at least one worker"
     );
     assert_eq!(variants.len(), instruments.len());
@@ -734,93 +661,70 @@ fn run_portfolio<'v, 'e, O: SearchObserver + Send>(
     // has no local derivation to certify) and pointless solo.
     let proving = instruments.iter().any(|(_, proof)| proof.is_some());
     let sharing = opts.share_len > 0 && !proving && variants.len() > 1;
-    let mut externals: Vec<ExternalSlot<'e>> = external_workers
-        .into_iter()
-        .enumerate()
-        .map(|(i, worker)| ExternalSlot {
-            index: variants.len() + i,
-            worker,
-            panicked: false,
-            steps: 0,
-        })
-        .collect();
-    let mut workers: Vec<Worker<'_, O>> = variants
-        .iter()
-        .zip(instruments)
-        .enumerate()
-        .map(|(index, (v, (observer, proof)))| Worker {
-            index,
-            class: v.class,
-            node_limit: v.config.node_limit,
-            solver: Solver::with_parts(&v.qbf, v.config.clone(), observer, proof),
-            value: None,
-            finished: false,
-            timed_out: false,
-            panicked: false,
-            steps: 0,
-        })
-        .collect();
-
-    if sharing {
-        let pool = Arc::new(SharePool::default());
-        for w in workers.iter_mut() {
-            w.solver.attach_share(Box::new(ShareConn::new(
+    let pool = Arc::new(SharePool::default());
+    let searches = variants.iter().zip(instruments).enumerate();
+    let searches = searches.map(|(index, (v, (observer, proof)))| {
+        let mut solver = Solver::with_parts(&v.qbf, v.config.clone(), observer, proof);
+        if sharing {
+            solver.attach_share(Box::new(ShareConn::new(
                 Arc::clone(&pool),
-                w.index,
-                w.class,
+                index,
+                v.class,
                 opts.share_len,
                 opts.deterministic,
             )));
         }
-    }
+        let search = Search {
+            label: &v.label,
+            node_limit: v.config.node_limit,
+            solver,
+            value: None,
+            timed_out: false,
+        };
+        Box::new(search) as Box<dyn Worker + 'w>
+    });
+    let externals = externals.into_iter().map(|e| Box::new(e) as Box<dyn Worker + 'w>);
+    let mut slots: Vec<Slot<'w>> = searches
+        .chain(externals)
+        .enumerate()
+        .map(|(index, worker)| Slot { index, worker, panicked: false, steps: 0 })
+        .collect();
 
     let winner = if opts.deterministic {
-        run_deterministic(&mut workers, &mut externals, opts)
+        run_deterministic(&mut slots, opts)
     } else {
-        run_free(&mut workers, &mut externals, opts)
+        run_free(&mut slots, opts)
     };
 
-    let mut reports: Vec<WorkerReport> = workers
+    let workers: Vec<WorkerReport> = slots
         .iter_mut()
-        .map(|w| {
-            let (exported, imported, discarded) = w
-                .solver
-                .share_conn_mut()
+        .map(|s| {
+            let (exported, imported, discarded) = s
+                .worker
+                .share()
                 .map_or((0, 0, 0), |c| (c.exported, c.imported, c.discarded));
             WorkerReport {
-                label: variants[w.index].label.clone(),
-                value: w.value,
-                finished: w.finished,
-                panicked: w.panicked,
-                stats: w.solver.current_stats(),
+                label: s.worker.label().to_string(),
+                value: s.worker.value(),
+                finished: s.finished(),
+                panicked: s.panicked,
+                stats: s.worker.stats(),
                 exported,
                 imported,
                 discarded,
                 metrics_json: None,
-                engine_fields: None,
+                fields: s.worker.fields(),
             }
         })
         .collect();
-    reports.extend(externals.iter().map(|e| WorkerReport {
-        label: e.worker.label().to_string(),
-        value: e.worker.value(),
-        finished: !e.panicked && e.worker.finished(),
-        panicked: e.panicked,
-        stats: Stats::default(),
-        exported: 0,
-        imported: 0,
-        discarded: 0,
-        metrics_json: None,
-        engine_fields: Some(e.worker.stat_fields()),
-    }));
 
     PortfolioOutcome {
-        value: winner.and_then(|i| reports[i].value),
+        value: winner.and_then(|i| workers[i].value),
         winner,
         deterministic: opts.deterministic,
         epoch: opts.epoch,
         share_len: if sharing { opts.share_len } else { 0 },
-        workers: reports,
+        workers,
         certificate: None,
     }
 }

@@ -1719,8 +1719,8 @@ impl<'a, O: SearchObserver> Solver<'a, O> {
         self.share = Some(conn);
     }
 
-    /// The sharing connection, if any (the portfolio driver reads its
-    /// outbox and counters between epochs).
+    /// The sharing connection, if any (the epoch barrier publishes its
+    /// outbox and polls it; the reports read its counters).
     pub(crate) fn share_conn_mut(&mut self) -> Option<&mut ShareConn> {
         self.share.as_deref_mut()
     }
@@ -1833,8 +1833,7 @@ impl<'a, O: SearchObserver> Solver<'a, O> {
         });
         let drop_count = candidates.len() / 2;
         for &c in candidates.iter().take(drop_count) {
-            let lits = self.db.lits(c).to_vec();
-            self.brancher.on_forget(&lits);
+            self.brancher.on_forget(self.db.lits(c));
             if let Some(proof) = self.proof.as_deref_mut() {
                 proof.on_delete(c.token());
             }
@@ -1963,8 +1962,7 @@ impl<'a, O: SearchObserver> Solver<'a, O> {
             .filter(|&c| c.kind() == Kind::Cube && !self.db.is_deleted(c))
             .collect();
         for c in doomed {
-            let lits = self.db.lits(c).to_vec();
-            self.brancher.on_forget(&lits);
+            self.brancher.on_forget(self.db.lits(c));
             self.db.delete(c);
         }
     }
@@ -1984,16 +1982,14 @@ impl<'a, O: SearchObserver> Solver<'a, O> {
             .filter(|&c| !self.db.is_deleted(c) && self.db.frame_mark(c) > level)
             .collect();
         for c in doomed {
-            let lits = self.db.lits(c).to_vec();
-            self.brancher.on_forget(&lits);
+            self.brancher.on_forget(self.db.lits(c));
             self.db.delete(c);
         }
         for c in self.db.remove_originals_above(level) {
-            let lits = self.db.lits(c).to_vec();
-            for &l in &lits {
+            for &l in self.db.lits(c) {
                 self.active_occ[l.code()] -= 1;
             }
-            self.brancher.on_forget(&lits);
+            self.brancher.on_forget(self.db.lits(c));
         }
     }
 

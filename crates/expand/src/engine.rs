@@ -211,18 +211,10 @@ enum EnginePhase {
     Done,
 }
 
-/// Outcome of one `advance` call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Advance {
-    Done,
-    Paused,
-    Cancelled,
-}
-
-/// The expansion engine. Resumable: [`step_to`](ExpandSolver::step_to)
-/// advances the refinement loop up to a cost bound and can be called
-/// repeatedly, which is how the portfolio races it against the search
-/// workers in deterministic lockstep.
+/// The expansion engine. Resumable: [`run_to`](ExpandSolver::run_to)
+/// advances the refinement loop up to a cost bound or a stop flag and
+/// can be called repeatedly, which is how the portfolio races it against
+/// the search workers, in deterministic lockstep and in the free race.
 pub struct ExpandSolver<'a, O: SearchObserver = NoopObserver> {
     qbf: &'a Qbf,
     config: ExpandConfig,
@@ -400,7 +392,7 @@ impl<'a, O: SearchObserver> ExpandSolver<'a, O> {
 
     /// Cumulative engine cost: SAT decisions plus propagations across
     /// both abstraction solvers. This is the budget metric of
-    /// [`step_to`](ExpandSolver::step_to) and the portfolio epochs.
+    /// [`run_to`](ExpandSolver::run_to) and the portfolio epochs.
     pub fn cost(&self) -> u64 {
         self.sat_e.cost() + self.sat_a.cost()
     }
@@ -647,10 +639,10 @@ impl<'a, O: SearchObserver> ExpandSolver<'a, O> {
         &mut self,
         budget: Option<u64>,
         stop: Option<&AtomicBool>,
-    ) -> Advance {
+    ) {
         loop {
             match self.phase {
-                EnginePhase::Done => return Advance::Done,
+                EnginePhase::Done => return,
                 EnginePhase::SolveExists => {
                     let sub =
                         budget.map(|b| b.saturating_sub(self.sat_a.cost()));
@@ -664,8 +656,7 @@ impl<'a, O: SearchObserver> ExpandSolver<'a, O> {
                         self.sat_calls += 1;
                     }
                     match result {
-                        SolveResult::Paused => return Advance::Paused,
-                        SolveResult::Cancelled => return Advance::Cancelled,
+                        SolveResult::Paused | SolveResult::Cancelled => return,
                         SolveResult::Unsat => {
                             self.final_core =
                                 self.sat_e.unsat_core().len() as u64;
@@ -693,8 +684,7 @@ impl<'a, O: SearchObserver> ExpandSolver<'a, O> {
                         self.sat_calls += 1;
                     }
                     match result {
-                        SolveResult::Paused => return Advance::Paused,
-                        SolveResult::Cancelled => return Advance::Cancelled,
+                        SolveResult::Paused | SolveResult::Cancelled => return,
                         SolveResult::Unsat => {
                             self.final_core =
                                 self.sat_a.unsat_core().len() as u64;
@@ -729,48 +719,25 @@ impl<'a, O: SearchObserver> ExpandSolver<'a, O> {
         }
     }
 
-    /// Advance until the truth value is decided or [`cost`] reaches
-    /// `bound`. Returns the value if decided. This is the portfolio
-    /// lockstep hook: repeated calls with growing bounds replay the
-    /// exact same refinement trajectory.
+    /// Advance until the truth value is decided, [`cost`] reaches
+    /// `bound` or the configured step limit, whichever is lower, or
+    /// `stop` is raised (checked at every SAT decision boundary).
+    /// Repeated calls with growing bounds replay the exact trajectory of
+    /// one unbounded call, which is how the portfolio races this engine
+    /// in deterministic lockstep.
     ///
     /// [`cost`]: ExpandSolver::cost
-    pub fn step_to(&mut self, bound: u64) -> Option<bool> {
-        if self.phase != EnginePhase::Done && self.cost() < bound {
-            self.advance(Some(bound), None);
-        }
-        self.value
-    }
-
-    /// Run to completion (or the configured step limit), checking
-    /// `stop` at every SAT decision boundary.
-    pub fn run(&mut self, stop: &AtomicBool) -> ExpandOutcome {
-        match self.config.step_limit {
-            None => {
-                self.advance(None, Some(stop));
-            }
-            Some(limit) => {
-                if self.phase != EnginePhase::Done && self.cost() < limit {
-                    self.advance(Some(limit), Some(stop));
-                }
-            }
+    pub fn run_to(&mut self, bound: Option<u64>, stop: Option<&AtomicBool>) -> ExpandOutcome {
+        let bound = [bound, self.config.step_limit].into_iter().flatten().min();
+        if bound.is_none_or(|b| self.cost() < b) {
+            self.advance(bound, stop);
         }
         self.outcome()
     }
 
     /// Run to completion (or the configured step limit).
     pub fn solve(&mut self) -> ExpandOutcome {
-        match self.config.step_limit {
-            None => {
-                self.advance(None, None);
-            }
-            Some(limit) => {
-                if self.phase != EnginePhase::Done && self.cost() < limit {
-                    self.advance(Some(limit), None);
-                }
-            }
-        }
-        self.outcome()
+        self.run_to(None, None)
     }
 }
 
@@ -826,7 +793,7 @@ mod tests {
         let mut bound = 0;
         let value = loop {
             bound += 3;
-            if let Some(v) = stepped.step_to(bound) {
+            if let Some(v) = stepped.run_to(Some(bound), None).value {
                 break v;
             }
         };
@@ -839,7 +806,7 @@ mod tests {
         let qbf = samples::paper_example();
         let mut solver = ExpandSolver::new(&qbf, ExpandConfig::tree());
         let stop = AtomicBool::new(true);
-        let outcome = solver.run(&stop);
+        let outcome = solver.run_to(None, Some(&stop));
         assert_eq!(outcome.value, None);
     }
 }

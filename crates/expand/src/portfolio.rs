@@ -1,12 +1,13 @@
 //! The expansion engine as a portfolio [`ExternalWorker`].
 //!
 //! Wraps an [`ExpandSolver`] so `qbf_core::portfolio::solve_mixed` can
-//! race expansion against the search roster in-process: deterministic
-//! lockstep interprets the shared epoch bound in the engine's own cost
-//! metric (SAT decisions + propagations), free-running mode polls the
-//! portfolio stop flag at SAT decision boundaries, and the transcript
-//! line prints [`ExpandStats`] fields. No constraint sharing crosses
-//! the paradigm boundary (see the trait docs).
+//! race expansion against the search roster in-process. Both drivers
+//! call [`ExpandSolver::run_to`]: deterministic lockstep passes the
+//! shared epoch bound, which the engine reads in its own cost metric
+//! (SAT decisions + propagations), and the free race passes the
+//! portfolio stop flag, polled at SAT decision boundaries. The
+//! transcript line prints [`ExpandStats`] fields. No constraint sharing
+//! crosses the paradigm boundary (see the trait docs).
 
 use std::sync::atomic::AtomicBool;
 
@@ -41,17 +42,8 @@ impl ExternalWorker for ExpandWorker<'_> {
         &self.label
     }
 
-    fn step_to(&mut self, bound: u64) {
-        // The engine's own step limit caps the shared epoch bound.
-        let bound = match self.solver.config().step_limit {
-            Some(limit) => bound.min(limit),
-            None => bound,
-        };
-        self.solver.step_to(bound);
-    }
-
-    fn run(&mut self, stop: &AtomicBool) {
-        self.solver.run(stop);
+    fn advance(&mut self, bound: Option<u64>, stop: Option<&AtomicBool>) {
+        self.solver.run_to(bound, stop);
     }
 
     fn value(&self) -> Option<bool> {

@@ -69,7 +69,7 @@ use qbf_prenex::portfolio::roster;
 /// the `qrp 1` text and the frame-restricted instance it certifies
 /// (qtree format), captured at query time so `qbfcheck` can verify the
 /// pair even after further `push`/`pop`/`add` traffic.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ProofArtifacts {
     certificate: String,
     instance: String,
@@ -713,8 +713,7 @@ impl Server {
         let artifacts = self
             .last_proof
             .as_ref()
-            .ok_or("no certificate for the last solve (use `solve` with \"proof\":true)")?
-            .clone();
+            .ok_or("no certificate for the last solve (use `solve` with \"proof\":true)")?;
         let bytes = artifacts.certificate.len();
         if path.is_none() && instance.is_none() {
             return Ok(format!(

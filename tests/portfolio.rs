@@ -13,6 +13,12 @@
 //!   `Stats` and sharing counters — must be **byte-identical** across
 //!   all thread counts and across repeated runs.
 //!
+//! The mixed portfolio (the search roster plus both expansion engines of
+//! `qbf_prenex::portfolio::expand_workers`) runs on the samples and a
+//! few generator instances: its lockstep transcript must replay at every
+//! thread count, and a panic of the first external worker must stay
+//! contained under both drivers.
+//!
 //! Built with `--features qbf-core/debug-counters`, every worker run is
 //! additionally shadow-verified by the eager counter discipline, so any
 //! unsound imported constraint that changes propagation behaviour
@@ -22,7 +28,7 @@ use qbf_repro::core::portfolio::{self, PortfolioOptions};
 use qbf_repro::core::solver::{Solver, SolverConfig};
 use qbf_repro::core::{samples, semantics, Qbf};
 use qbf_repro::gen::{fixed, fpv, ncf, rand_qbf, FixedParams, FpvParams, NcfParams, RandParams};
-use qbf_repro::prenex::portfolio::roster;
+use qbf_repro::prenex::portfolio::{expand_workers, roster, DETERMINISTIC_ROSTER};
 use qbf_repro::prenex::{miniscope, prenex, Strategy};
 
 fn base_config() -> SolverConfig {
@@ -107,6 +113,87 @@ fn check_portfolio(label: &str, qbf: &Qbf, semantic: Option<bool>) {
                 assert_eq!(w.value, Some(expected), "{label}: finished worker {} disagrees", w.label);
             }
         }
+    }
+}
+
+/// Cross-checks one instance through the mixed portfolio: lockstep
+/// transcripts equal at 1, 2 and 4 threads and across reruns, with both
+/// expansion workers in them, and a panic injected into the first
+/// external worker (index [`DETERMINISTIC_ROSTER`]) contained under both
+/// drivers.
+fn check_mixed(label: &str, qbf: &Qbf) {
+    let expected = reference(label, qbf);
+    let base = base_config();
+    let vars = roster(qbf, 1, true, &base);
+    let lockstep = |threads: usize, debug_panic_worker: Option<usize>| {
+        let opts = PortfolioOptions {
+            threads,
+            deterministic: true,
+            epoch: 64,
+            debug_panic_worker,
+            ..PortfolioOptions::default()
+        };
+        portfolio::solve_mixed(&vars, expand_workers(qbf, base.node_limit), &opts)
+    };
+    let out = lockstep(1, None);
+    assert_eq!(out.value, Some(expected), "{label}: mixed lockstep verdict");
+    let transcript = out.transcript();
+    for engine in ["expand-po", "expand-to"] {
+        assert!(
+            transcript.contains(&format!(" {engine} ")),
+            "{label}: {engine} missing from the mixed transcript"
+        );
+    }
+    for threads in [2usize, 4, 1] {
+        assert_eq!(
+            lockstep(threads, None).transcript(),
+            transcript,
+            "{label}: mixed transcript differs at threads {threads}"
+        );
+    }
+
+    let external = DETERMINISTIC_ROSTER;
+    let hurt = lockstep(2, Some(external));
+    assert_eq!(hurt.value, Some(expected), "{label}: lockstep verdict after a panic");
+    assert!(hurt.workers[external].panicked, "{label}: lockstep panic not reported");
+    assert!(!hurt.workers[external].finished);
+    assert_eq!(
+        lockstep(4, Some(external)).transcript(),
+        hurt.transcript(),
+        "{label}: lockstep transcript with a contained panic does not replay"
+    );
+    let free = portfolio::solve_mixed(
+        &roster(qbf, DETERMINISTIC_ROSTER, false, &base),
+        expand_workers(qbf, base.node_limit),
+        &PortfolioOptions {
+            debug_panic_worker: Some(external),
+            ..PortfolioOptions::default()
+        },
+    );
+    assert_eq!(free.value, Some(expected), "{label}: free verdict after a panic");
+    assert!(free.workers[external].panicked, "{label}: free-race panic not reported");
+    assert!(!free.workers[external].finished);
+}
+
+/// The mixed portfolio on the samples and a few generator instances.
+#[test]
+fn portfolio_mixed() {
+    let mut cases: Vec<(String, Qbf)> = vec![
+        ("paper_example".into(), samples::paper_example()),
+        ("forall_exists_xor".into(), samples::forall_exists_xor()),
+        ("exists_forall_xor".into(), samples::exists_forall_xor()),
+        ("two_independent_games".into(), samples::two_independent_games()),
+        ("sat_instance".into(), samples::sat_instance()),
+        ("unsat_instance".into(), samples::unsat_instance()),
+    ];
+    for seed in 0..2u64 {
+        let params = NcfParams { dep: 3, var: 2, cls_ratio: 2, lpc: 3 };
+        cases.push((format!("ncf seed {seed}"), ncf(&params, seed)));
+        let params = RandParams::three_block(4, 3, 4, 20, 3);
+        cases.push((format!("prob seed {seed}"), rand_qbf(&params, seed)));
+    }
+    for (label, qbf) in &cases {
+        check_mixed(label, qbf);
     }
 }
 
